@@ -2,9 +2,9 @@
 
 Solves max f(S) = sum of pairwise distances within S (plus optional linear
 scores) over the bases of a matroid, for distances of negative type.  The
-pipeline certifies the distance, maximizes the concave relaxation on each
-cardinality slice of the matroid polytope, and deterministically rounds the
-best fractional point to a basis with a 1 - (4 + 2 ln k)/k guarantee.
+pipeline certifies the distance, maximizes the concave relaxation on the
+base polytope of the matroid, and deterministically rounds the fractional
+point to a basis with a 1 - (4 + 2 ln k)/k guarantee.
 """
 
 from .baselines import (

@@ -8,9 +8,7 @@ floats); element lists in serialized output are 1-based.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import os
 import sys
 import time
 
@@ -28,26 +26,6 @@ from .geometry import certify_negative_type
 from .io import SCHEMA_VERSION, canonical_dumps, doc_from_json, doc_to_json, materialize
 from .relaxation import GAP_TOL_DEFAULT, sweep_slices
 from .rounding import guarantee_factor, round as round_to_basis
-
-THREADS_ENV = "DIVMAX_THREADS"
-
-
-def _resolve_threads(arg: int | None) -> int:
-    if arg is not None:
-        if arg < 1:
-            raise InvalidInputError("--threads must be >= 1")
-        return arg
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            val = int(env)
-        except ValueError:
-            raise InvalidInputError(f"{THREADS_ENV} must be an integer, got {env!r}")
-        if val < 1:
-            raise InvalidInputError(f"{THREADS_ENV} must be >= 1")
-        return val
-    return os.cpu_count() or 1
-
 
 def _load_doc(path: str):
     try:
@@ -117,32 +95,6 @@ def cmd_certify(args) -> int:
     return 0 if cert.is_negative_type else 3
 
 
-def _slice_rows(result) -> list:
-    rows = []
-    for sol in result.per_slice:
-        rows.append(
-            {
-                "alpha": int(sol.alpha),
-                "value": float(sol.value),
-                "gap": float(sol.gap),
-                "upper_bound": float(sol.upper_bound),
-                "iterations": int(sol.iterations),
-                "converged": bool(sol.converged),
-            }
-        )
-    return rows
-
-
-def _write_slice_csv(rows: list, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["alpha", "value", "gap", "upper_bound", "iterations", "converged"]
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
 def _bound_checks(dm, w, k: int, x_star, value_x_star: float, basis_value: float) -> dict:
     """Recomputed from raw data at serialization time, not taken from the trace."""
     quad = float(x_star @ dm.d @ x_star)
@@ -179,7 +131,7 @@ def _step_dicts(trace) -> list:
     return steps
 
 
-def _solve_pipeline(doc, *, gap_tol: float, threads: int, force: bool, w_override=None):
+def _solve_pipeline(doc, *, gap_tol: float, force: bool, w_override=None):
     dm, matroid, w = materialize(doc)
     if w_override is not None:
         w = None if isinstance(w_override, str) else w_override
@@ -195,10 +147,7 @@ def _solve_pipeline(doc, *, gap_tol: float, threads: int, force: bool, w_overrid
         )
 
     t0 = time.perf_counter()
-    relax = sweep_slices(
-        dm, matroid, w=w, gap_tol=gap_tol, threads=threads,
-        certificate=cert, force=force,
-    )
+    relax = sweep_slices(dm, matroid, w=w, gap_tol=gap_tol, certificate=cert, force=force)
     t_relax = time.perf_counter() - t0
 
     best = relax.best
@@ -216,10 +165,9 @@ def cmd_solve(args) -> int:
     if args.scores is not None:
         parsed = _parse_scores_flag(args.scores, doc.n)
         w_override = parsed  # "drop" string or array
-    threads = _resolve_threads(args.threads)
     total0 = time.perf_counter()
     dm, matroid, w, cert, relax, rounded, phase_times = _solve_pipeline(
-        doc, gap_tol=args.gap, threads=threads, force=args.force, w_override=w_override,
+        doc, gap_tol=args.gap, force=args.force, w_override=w_override,
     )
     best = relax.best
     x_star = best.point.x
@@ -242,7 +190,6 @@ def cmd_solve(args) -> int:
             "has_scores": w is not None,
         },
         "certificate": _certificate_dict(cert, forced=args.force and not cert.is_negative_type),
-        "slices": _slice_rows(relax),
         "best_slice": {
             "alpha": int(best.alpha),
             "value": value_x_star,
@@ -280,8 +227,6 @@ def cmd_solve(args) -> int:
         report["rounding"]["steps"] = _step_dicts(rounded.trace)
         report["rounding"]["reverse_bounds"] = [float(v) for v in rounded.trace.reverse_bounds]
     _emit(canonical_dumps(report), args.out)
-    if args.csv_slices:
-        _write_slice_csv(report["slices"], args.csv_slices)
     return 0
 
 
@@ -311,9 +256,8 @@ def _ratio(num: float, den: float) -> str:
 
 def cmd_compare(args) -> int:
     doc = _load_doc(args.instance)
-    threads = _resolve_threads(args.threads)
     dm, matroid, w, cert, relax, rounded, _ = _solve_pipeline(
-        doc, gap_tol=args.gap, threads=threads, force=args.force,
+        doc, gap_tol=args.gap, force=args.force
     )
     local = _baselines.local_search_half(dm, matroid, w=w)
     exact = None
@@ -417,20 +361,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--out", default=None, help="write certificate JSON here instead of stdout")
     p_cert.set_defaults(func=cmd_certify)
 
-    p_solve = sub.add_parser("solve", help="relax over slices, round to a basis, report")
+    p_solve = sub.add_parser(
+        "solve", help="relax the base-polytope slice, round to a basis, report"
+    )
     p_solve.add_argument("instance", help="instance JSON path")
     p_solve.add_argument("--gap", type=float, default=GAP_TOL_DEFAULT,
-                         help="relative duality-gap stopping tolerance per slice")
+                         help="relative Frank-Wolfe duality-gap stopping tolerance")
     p_solve.add_argument("--scores", default=None,
                          help="override linear scores: inline JSON array, a path to one, or 'none'")
     p_solve.add_argument("--trace", action="store_true",
                          help="include per-step rounding records in the report")
-    p_solve.add_argument("--threads", type=int, default=None,
-                         help=f"slice sweep workers (default: ${THREADS_ENV} or CPU count)")
     p_solve.add_argument("--force", action="store_true",
                          help="solve even if certification fails (voids the guarantee)")
     p_solve.add_argument("--out", default=None, help="write report JSON here instead of stdout")
-    p_solve.add_argument("--csv-slices", default=None, help="also write the per-slice table as CSV")
     p_solve.set_defaults(func=cmd_solve)
 
     p_exact = sub.add_parser("exact", help="brute-force optimum (n <= 20)")
@@ -441,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="relaxation bound vs rounded vs baselines")
     p_cmp.add_argument("instance", help="instance JSON path")
     p_cmp.add_argument("--gap", type=float, default=GAP_TOL_DEFAULT)
-    p_cmp.add_argument("--threads", type=int, default=None)
     p_cmp.add_argument("--force", action="store_true")
     p_cmp.add_argument("--out", default=None, help="write the table here instead of stdout")
     p_cmp.set_defaults(func=cmd_compare)

@@ -1,34 +1,30 @@
-"""Concave relaxation of max-sum diversification, solved slice by slice.
+"""Concave relaxation of max-sum diversification on the base polytope.
 
 For a negative-type distance matrix D the dispersion g(x) = x @ D @ x + w @ x
 is concave on each slice {x in P(M) : sum(x) == alpha} (the base polytope of
-the rank-alpha truncation).  Each slice program is solved with an away-step
+the rank-alpha truncation).  A slice program is solved with an away-step
 conditional-gradient method whose linear subproblems are exact greedy basis
 computations, so every iterate is an explicit convex combination of slice
 vertices and therefore feasible to machine precision.
 
-The per-slice `gap` is a first-order optimality certificate: for concave g,
-max over the slice of g is at most value + gap.  The sweep over alpha =
-1..rank(ground set) yields `opt_upper_bound`, an upper bound on the integer
-optimum, because every independent set lives on the slice of its own size.
+The slice `gap` is a first-order optimality certificate: for concave g, max
+over the slice of g is at most value + gap.  Only the top slice, alpha =
+rank(ground set), is needed.  Because D >= 0 and w >= 0, g does not decrease
+when any coordinate of x >= 0 grows, and every point of P(M) lies below some
+point of the base polytope.  So the slice maximum does not decrease in
+alpha, and the top slice's value + gap bounds g on every independent set.
+That slice is also the only one rounding accepts, since rounding needs base
+mass.  With negative scores the argument fails, so they are refused.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CertificationError, InvalidInputError
-from .geometry import (
-    DistanceMatrix,
-    NegTypeCertificate,
-    SchoenbergForm,
-    certify_negative_type,
-    dispersion,
-    schoenberg_form,
-)
+from .geometry import DistanceMatrix, NegTypeCertificate, certify_negative_type
 from .matroids import FractionalPoint, Matroid, greedy_basis_lmo
 
 GAP_TOL_DEFAULT = 1e-6
@@ -53,11 +49,21 @@ class SliceSolution:
 
 @dataclass(frozen=True)
 class RelaxationResult:
-    """Best slice plus the per-slice table and the global upper bound."""
+    """Base-polytope slice solution and the upper bound on the integer optimum."""
 
     best: SliceSolution
-    per_slice: tuple
     opt_upper_bound: float
+
+
+def _score_vector(w, n: int) -> np.ndarray:
+    if w is None:
+        return np.zeros(n)
+    w_vec = np.asarray(w, dtype=float)
+    if w_vec.shape != (n,):
+        raise InvalidInputError(f"w must have shape ({n},), got {w_vec.shape}")
+    if not np.isfinite(w_vec).all() or (w_vec < 0).any():
+        raise InvalidInputError("scores must be finite and nonnegative")
+    return w_vec
 
 
 def _require_certified(dm, certificate, force):
@@ -82,7 +88,6 @@ def solve_slice(
     *,
     gap_tol: float = GAP_TOL_DEFAULT,
     max_iters: int | None = None,
-    form: SchoenbergForm | None = None,
     certificate: NegTypeCertificate | None = None,
     force: bool = False,
 ) -> SliceSolution:
@@ -101,19 +106,13 @@ def solve_slice(
     _require_certified(dm, certificate, force)
     d = dm.d
     n = dm.n
-    if w is None:
-        w_vec = np.zeros(n)
-    else:
-        w_vec = np.asarray(w, dtype=float)
-        if w_vec.shape != (n,):
-            raise InvalidInputError(f"w must have shape ({n},), got {w_vec.shape}")
-    if form is None:
-        form = schoenberg_form(dm)
+    w_vec = _score_vector(w, n)
     if max_iters is None:
         max_iters = ITER_CAP_SCALE * n * alpha
 
-    # Warm start: greedy basis under the linear part of the objective.
-    x = greedy_basis_lmo(m, alpha, 2.0 * alpha * form.c + w_vec)
+    # Warm start: greedy basis under the linear part of the objective, with
+    # D written as d(i,j) = c[i] + c[j] - 2 Q[i,j] around element 0 (c = D[0]).
+    x = greedy_basis_lmo(m, alpha, 2.0 * alpha * d[0] + w_vec)
     weights = {x.astype(np.int8).tobytes(): 1.0}
     vertices = {next(iter(weights)): x.copy()}
 
@@ -217,20 +216,19 @@ def sweep_slices(
     *,
     gap_tol: float = GAP_TOL_DEFAULT,
     max_iters: int | None = None,
-    threads: int = 1,
     certificate: NegTypeCertificate | None = None,
     force: bool = False,
 ) -> RelaxationResult:
-    """Solve every slice alpha = 1..rank(ground set) and keep the best.
+    """Solve only the base-polytope slice, alpha = rank(ground set).
 
-    `opt_upper_bound` is the max of the per-slice upper bounds (at least 0,
-    the value of the empty set), so it dominates the integer optimum.
-    Slices are independent; `threads` > 1 runs them concurrently.
+    No smaller slice needs solving: the slice maximum does not decrease in
+    alpha (see the module docstring), so this slice gives `best`, and its
+    value + gap is `opt_upper_bound`, which dominates the integer optimum.
+    Scores must be finite and nonnegative.
     """
+    w_vec = _score_vector(w, dm.n)
     certificate = _require_certified(dm, certificate, force)
-    form = schoenberg_form(dm)
-    top = m.full_rank
-    if top == 0:
+    if m.full_rank == 0:
         zero = SliceSolution(
             alpha=0,
             point=FractionalPoint.of(np.zeros(m.n), value=0.0),
@@ -241,31 +239,15 @@ def sweep_slices(
             converged=True,
             value_trace=(0.0,),
         )
-        return RelaxationResult(best=zero, per_slice=(zero,), opt_upper_bound=0.0)
-
-    def run(alpha):
-        return solve_slice(
-            dm,
-            m,
-            alpha,
-            w,
-            gap_tol=gap_tol,
-            max_iters=max_iters,
-            form=form,
-            certificate=certificate,
-            force=force,
-        )
-
-    alphas = range(1, top + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            slices = list(pool.map(run, alphas))
-    else:
-        slices = [run(alpha) for alpha in alphas]
-
-    best = slices[0]
-    for sol in slices[1:]:
-        if sol.value > best.value:
-            best = sol
-    upper = max(max(s.upper_bound for s in slices), 0.0)
-    return RelaxationResult(best=best, per_slice=tuple(slices), opt_upper_bound=upper)
+        return RelaxationResult(best=zero, opt_upper_bound=0.0)
+    best = solve_slice(
+        dm,
+        m,
+        m.full_rank,
+        w_vec,
+        gap_tol=gap_tol,
+        max_iters=max_iters,
+        certificate=certificate,
+        force=force,
+    )
+    return RelaxationResult(best=best, opt_upper_bound=best.upper_bound)

@@ -1,6 +1,5 @@
 """End-to-end CLI behavior through main(argv): exit codes, reports, files."""
 
-import csv
 import json
 
 import pytest
@@ -40,6 +39,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_refused(capsys, *argv):
+    """Exit code and stderr of an argv that argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def solve_report(capsys, *argv):
+    code, out, _ = run(capsys, "solve", *argv)
+    assert code == 0
+    report = json.loads(out)
+    del report["timings"]
+    return report
 
 
 class TestCertify:
@@ -89,8 +103,7 @@ class TestSolve:
             "matroid_kind": "uniform",
             "has_scores": False,
         }
-        assert [row["alpha"] for row in report["slices"]] == [1, 2]
-        assert all(row["converged"] for row in report["slices"])
+        assert "slices" not in report
         assert set(report["timings"]) == {"certify_s", "relax_s", "round_s", "baselines_s", "total_s"}
 
     def test_report_is_canonical(self, capsys, gap42):
@@ -156,12 +169,10 @@ class TestSolve:
 
     def test_csv_slices(self, capsys, gap42, tmp_path):
         dest = tmp_path / "slices.csv"
-        code, _, _ = run(capsys, "solve", gap42, "--csv-slices", str(dest))
-        assert code == 0
-        with open(dest, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [row["alpha"] for row in rows] == ["1", "2"]
-        assert float(rows[1]["value"]) == pytest.approx(3.0, abs=1e-6)
+        code, err = run_refused(capsys, "solve", gap42, "--csv-slices", str(dest))
+        assert code == 2
+        assert "unrecognized arguments: --csv-slices" in err
+        assert not dest.exists()
 
     def test_out_file(self, capsys, gap42, tmp_path):
         dest = tmp_path / "report.json"
@@ -183,27 +194,49 @@ class TestSolve:
         assert "invalid JSON" in err
 
     def test_threads_flag_validation(self, capsys, gap42):
-        code, _, _ = run(capsys, "solve", gap42, "--threads", "0")
-        assert code == 2
+        for command in ("solve", "compare"):
+            code, err = run_refused(capsys, command, gap42, "--threads", "2")
+            assert code == 2
+            assert "unrecognized arguments: --threads" in err
 
     def test_threads_env(self, capsys, gap42, monkeypatch):
+        plain = solve_report(capsys, gap42)
         monkeypatch.setenv("DIVMAX_THREADS", "2")
-        code, out, _ = run(capsys, "solve", gap42)
-        assert code == 0
-        assert json.loads(out)["rounding"]["value"] == pytest.approx(2.0)
+        assert solve_report(capsys, gap42) == plain
 
     def test_threads_env_invalid(self, capsys, gap42, monkeypatch):
+        plain = solve_report(capsys, gap42)
         monkeypatch.setenv("DIVMAX_THREADS", "abc")
-        code, _, err = run(capsys, "solve", gap42)
-        assert code == 2
-        assert "DIVMAX_THREADS" in err
+        assert solve_report(capsys, gap42) == plain
 
-    def test_thread_count_does_not_change_result(self, capsys, gap42):
-        _, out1, _ = run(capsys, "solve", gap42, "--threads", "1")
-        _, out4, _ = run(capsys, "solve", gap42, "--threads", "4")
-        r1, r4 = json.loads(out1), json.loads(out4)
-        del r1["timings"], r4["timings"]
-        assert r1 == r4
+    def test_thread_count_does_not_change_result(self, capsys, gap42, monkeypatch):
+        reports = []
+        for count in ("1", "4"):
+            monkeypatch.setenv("DIVMAX_THREADS", count)
+            reports.append(solve_report(capsys, gap42))
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("scored", [False, True])
+    def test_zero_distance_solves(self, capsys, tmp_path, scored):
+        n, k = 12, 4
+        doc = {
+            "n": n,
+            "distance": {"kind": "explicit", "matrix": [[0.0] * n for _ in range(n)]},
+            "matroid": {"kind": "uniform", "k": k},
+        }
+        scores = [0.0] * n
+        if scored:
+            scores[7] = 2.5
+            doc["scores"] = scores
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps(doc))
+        report = solve_report(capsys, str(path))
+        basis = report["rounding"]["basis"]
+        assert len(basis) == k and len(set(basis)) == k
+        # Zero distances leave only the scores in g(B).
+        assert report["rounding"]["value"] == pytest.approx(sum(scores[e - 1] for e in basis))
+        assert report["opt_upper_bound"] >= report["baselines"]["exact"]["value"]
+        assert report["baselines"]["exact"]["value"] == pytest.approx(max(scores))
 
 
 class TestExact:

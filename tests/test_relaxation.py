@@ -1,4 +1,4 @@
-"""Slice relaxation: conditional-gradient solver and the alpha sweep."""
+"""Slice relaxation: conditional-gradient solver and the base-polytope slice."""
 
 import numpy as np
 import pytest
@@ -107,7 +107,6 @@ class TestSweep:
         assert res.best.alpha == 2
         assert res.best.value == pytest.approx(3.0, abs=1e-8)
         assert np.allclose(res.best.point.x, 0.5, atol=1e-5)
-        assert len(res.per_slice) == 2
         assert res.opt_upper_bound == pytest.approx(3.0, abs=1e-8)
 
     def test_upper_bound_dominates_brute_force(self):
@@ -129,13 +128,23 @@ class TestSweep:
             assert res.opt_upper_bound >= opt - 1e-6 * (1 + opt)
 
     def test_best_is_value_argmax_of_slices(self):
+        # D >= 0 and w >= 0 make the slice maximum nondecreasing in alpha, so
+        # the top slice's bound dominates the value of every lower slice.
         dm = random_certified(9, 8, "l2")
-        m = divmax.UniformMatroid(8, 4)
-        res = divmax.sweep_slices(dm, m)
-        values = [s.value for s in res.per_slice]
-        assert res.best.value == max(values)
-        assert [s.alpha for s in res.per_slice] == [1, 2, 3, 4]
-        assert res.opt_upper_bound >= max(s.upper_bound for s in res.per_slice)
+        matroids = (
+            divmax.UniformMatroid(8, 4),
+            divmax.PartitionMatroid([[0, 1, 2], [3, 4, 5, 6, 7]], [1, 3]),
+        )
+        scores = (None, np.random.default_rng(5).uniform(0.0, 2.0, size=8))
+        for m in matroids:
+            for w in scores:
+                res = divmax.sweep_slices(dm, m, w)
+                assert res.best.alpha == m.full_rank
+                assert res.opt_upper_bound == res.best.upper_bound
+                tol = 1e-9 * (1.0 + res.opt_upper_bound)
+                for alpha in range(1, m.full_rank + 1):
+                    sol = divmax.solve_slice(dm, m, alpha, w)
+                    assert sol.value <= res.opt_upper_bound + tol
 
     def test_rank_zero_matroid(self):
         dm = random_certified(0, 4)
@@ -146,14 +155,50 @@ class TestSweep:
         assert not res.best.point.x.any()
 
     def test_threads_deterministic(self):
+        # The relaxation is single-threaded; repeated calls agree bit for bit.
         dm = random_certified(21, 9, "l2")
         m = divmax.UniformMatroid(9, 4)
-        a = divmax.sweep_slices(dm, m, gap_tol=1e-9, threads=1)
-        b = divmax.sweep_slices(dm, m, gap_tol=1e-9, threads=4)
-        assert a.best.value == b.best.value
+        a = divmax.sweep_slices(dm, m, gap_tol=1e-9)
+        b = divmax.sweep_slices(dm, m, gap_tol=1e-9)
         assert np.array_equal(a.best.point.x, b.best.point.x)
-        for sa, sb in zip(a.per_slice, b.per_slice):
-            assert sa.value == sb.value and sa.gap == sb.gap
+        assert a.best.value == b.best.value
+        assert a.best.gap == b.best.gap
+        assert a.opt_upper_bound == b.opt_upper_bound
+
+    def test_scores_checked(self):
+        dm = random_certified(2, 5, "l2")
+        m = divmax.UniformMatroid(5, 2)
+        for bad in ([1.0, -0.5, 0.0, 0.0, 0.0], [1.0, np.nan, 0, 0, 0],
+                    [1.0, np.inf, 0, 0, 0], [1.0, 2.0]):
+            with pytest.raises(InvalidInputError):
+                divmax.sweep_slices(dm, m, bad)
+        plain = divmax.sweep_slices(dm, m, None)
+        zeros = divmax.sweep_slices(dm, m, np.zeros(5))
+        assert plain.best.alpha == 2
+        assert plain.opt_upper_bound == zeros.opt_upper_bound
+        assert np.array_equal(plain.best.point.x, zeros.best.point.x)
+
+    @pytest.mark.parametrize("scores", [None, "one"])
+    def test_zero_distance_ties_round_to_a_basis(self, scores):
+        # Every slice of an all-zero distance ties; the relaxation must still
+        # hand rounding a point of base mass.
+        dm = divmax.DistanceMatrix(np.zeros((12, 12)))
+        m = divmax.UniformMatroid(12, 4)
+        w = None
+        if scores == "one":
+            w = np.zeros(12)
+            w[5] = 2.5
+        relax = divmax.sweep_slices(dm, m, w)
+        assert relax.best.alpha == 4
+        rounded = divmax.round(dm, m, relax.best.point.x, w)
+        assert len(rounded.basis) == 4
+        assert m.rank(rounded.basis) == 4
+        x = np.zeros(12)
+        x[list(rounded.basis)] = 1.0
+        wv = np.zeros(12) if w is None else w
+        assert rounded.value == pytest.approx(float(x @ dm.d @ x + wv @ x), abs=1e-12)
+        opt = divmax.brute_force_opt(dm, m, w).value
+        assert relax.opt_upper_bound >= opt - 1e-12
 
     def test_certification_enforced(self, triangle_not_negtype):
         m = divmax.UniformMatroid(3, 2)
