@@ -108,7 +108,9 @@ def _bound_checks(dm, w, k: int, x_star, value_x_star: float, basis_value: float
         "guarantee_factor": float(factor),
         "quadratic_value_x_star": quad,
         "guarantee_target": float(target),
-        "guarantee_satisfied": bool(basis_value >= target - 1e-9),
+        "guarantee_satisfied": bool(
+            basis_value >= target - 1e-9 * max(abs(target), abs(basis_value))
+        ),
     }
 
 

@@ -80,6 +80,81 @@ def _require_certified(dm, certificate, force):
     return certificate
 
 
+class _ActiveSet:
+    """Slice vertices with positive weight, stored as growable arrays.
+
+    Row r holds a vertex's support (alpha sorted indices), its cached D @ v
+    and its weight; a dict maps each support to its row, so a vertex the
+    oracle returns again is found again.  Rows keep insertion order.
+    """
+
+    def __init__(self, d: np.ndarray, alpha: int):
+        self._d = d
+        self._n = d.shape[0]
+        self.size = 0
+        self.supports = np.empty((16, alpha), dtype=np.intp)
+        self.dv = np.empty((16, self._n))
+        self.lam = np.zeros(16)
+        self._rows: dict = {}
+
+    def find_or_add(self, support: np.ndarray) -> int:
+        """Row of the vertex with this support, added with weight 0 if new."""
+        row = self._rows.get(support.tobytes())
+        if row is not None:
+            return row
+        row = self.size
+        if row == len(self.lam):
+            self.supports = np.concatenate([self.supports, np.empty_like(self.supports)])
+            self.dv = np.concatenate([self.dv, np.empty_like(self.dv)])
+            self.lam = np.concatenate([self.lam, np.zeros_like(self.lam)])
+        self.supports[row] = support
+        self.dv[row] = self._d[support].sum(axis=0)  # D is symmetric
+        self.lam[row] = 0.0
+        self._rows[support.tobytes()] = row
+        self.size += 1
+        return row
+
+    def away(self, grad: np.ndarray) -> tuple:
+        """Row and linearized value of the least active vertex (first on ties)."""
+        values = grad[self.supports[: self.size]].sum(axis=1)
+        row = int(np.argmin(values))
+        return row, float(values[row])
+
+    def vertex(self, row: int) -> np.ndarray:
+        v = np.zeros(self._n)
+        v[self.supports[row]] = 1.0
+        return v
+
+    def point(self) -> np.ndarray:
+        """The convex combination sum_r lam[r] * v_r."""
+        alpha = self.supports.shape[1]
+        live = self.supports[: self.size].ravel()
+        weights = np.repeat(self.lam[: self.size], alpha)
+        return np.bincount(live, weights=weights, minlength=self._n)
+
+    def step(self, row: int, gamma: float, away: bool) -> None:
+        """Shift weight gamma onto row (off it, for an away step) and renormalize.
+
+        Rows whose weight falls to _WEIGHT_FLOOR are dropped; the rest keep
+        their order.
+        """
+        live = self.lam[: self.size]
+        if away:
+            live *= 1.0 + gamma
+            live[row] -= gamma
+        else:
+            live *= 1.0 - gamma
+            live[row] += gamma
+        keep = np.flatnonzero(live > _WEIGHT_FLOOR)
+        if len(keep) < self.size:
+            self.size = len(keep)
+            self.supports[: self.size] = self.supports[keep]
+            self.dv[: self.size] = self.dv[keep]
+            self.lam[: self.size] = self.lam[keep]
+            self._rows = {self.supports[r].tobytes(): r for r in range(self.size)}
+        self.lam[: self.size] /= self.lam[: self.size].sum()
+
+
 def solve_slice(
     dm: DistanceMatrix,
     m: Matroid,
@@ -95,8 +170,15 @@ def solve_slice(
 
     Away-step conditional gradient with exact line search (the objective is
     an exactly-known quadratic along any segment).  Terminates once the
-    linearization gap drops to gap_tol * max(1, |value|), or at max_iters
+    linearization gap drops to gap_tol * value (the value is >= 0, so the
+    rule does not change when D and w are scaled together), or at max_iters
     (default ITER_CAP_SCALE * n * alpha).
+
+    One iteration costs O(n * alpha + |active set| * alpha) plus one LMO
+    call: every slice vertex is a 0/1 vector with alpha ones, so D @ v is a
+    sum of alpha rows of D, cached once per active vertex, and D @ x is
+    carried along by the same convex steps as x.  No n x n product runs
+    inside the loop; the returned value and gap come from one exact D @ x.
     """
     if dm.n != m.n:
         raise InvalidInputError(f"distance has n={dm.n} but matroid has n={m.n}")
@@ -113,90 +195,71 @@ def solve_slice(
     # Warm start: greedy basis under the linear part of the objective, with
     # D written as d(i,j) = c[i] + c[j] - 2 Q[i,j] around element 0 (c = D[0]).
     x = greedy_basis_lmo(m, alpha, 2.0 * alpha * d[0] + w_vec)
-    weights = {x.astype(np.int8).tobytes(): 1.0}
-    vertices = {next(iter(weights)): x.copy()}
-
-    def combo():
-        acc = np.zeros(n)
-        for key, lam in weights.items():
-            acc += lam * vertices[key]
-        return acc
-
-    value = float(x @ d @ x + w_vec @ x)
+    active = _ActiveSet(d, alpha)
+    row = active.find_or_add(np.flatnonzero(x))
+    active.lam[row] = 1.0
+    dx = active.dv[row].copy()
+    value = float(x @ dx + w_vec @ x)
     trace = [value]
-    gap = np.inf
     converged = False
     iterations = 0
 
     for iterations in range(max_iters + 1):
-        grad = 2.0 * (d @ x) + w_vec
+        grad = 2.0 * dx + w_vec
         v = greedy_basis_lmo(m, alpha, grad)
-        gap = float(grad @ (v - x))
-        if gap <= gap_tol * max(1.0, abs(value)):
+        grad_x = float(grad @ x)
+        gap = float(grad @ v) - grad_x
+        if gap <= gap_tol * value:
             converged = True
             break
         if iterations == max_iters:
             break
 
-        away_key = min(weights, key=lambda kk: (float(grad @ vertices[kk]), kk))
-        a = vertices[away_key]
-        d_fw = v - x
-        d_away = x - a
-        gap_away = float(grad @ d_away)
+        away, grad_a = active.away(grad)
+        lam_a = float(active.lam[away])
+        gap_away = grad_x - grad_a
 
-        if gap >= gap_away:
-            direction = d_fw
+        if gap >= gap_away or lam_a >= 1.0:
+            row = active.find_or_add(np.flatnonzero(v))
+            direction = v - x
+            d_direction = active.dv[row] - dx
+            slope = gap
             gamma_max = 1.0
             is_away = False
         else:
-            lam_a = weights[away_key]
-            if lam_a >= 1.0:
-                direction = d_fw
-                gamma_max = 1.0
-                is_away = False
-            else:
-                direction = d_away
-                gamma_max = lam_a / (1.0 - lam_a)
-                is_away = True
+            row = away
+            direction = x - active.vertex(away)
+            d_direction = dx - active.dv[away]
+            slope = gap_away
+            gamma_max = lam_a / (1.0 - lam_a)
+            is_away = True
 
-        slope = float(grad @ direction)
-        curv = float(direction @ d @ direction)  # <= 0 on the slice
-        if curv < -1e-18:
-            gamma = min(gamma_max, slope / (-2.0 * curv))
+        # The objective along the segment is value + slope*g + curv*g^2 with
+        # curv <= 0 on the slice.  Comparing the unclipped maximizer with
+        # gamma_max by multiplication keeps this test free of any absolute
+        # cut-off, so it reads the same at every scale of D and w.
+        curv = float(direction @ d_direction)
+        if -2.0 * curv * gamma_max > slope:
+            gamma = slope / (-2.0 * curv)
         else:
             gamma = gamma_max
         if gamma <= 0.0:
             converged = True
             break
 
-        if is_away:
-            for key in weights:
-                weights[key] *= 1.0 + gamma
-            weights[away_key] -= gamma
-            if weights[away_key] <= _WEIGHT_FLOOR:
-                del weights[away_key]
-                del vertices[away_key]
-        else:
-            for key in weights:
-                weights[key] *= 1.0 - gamma
-            v_key = v.astype(np.int8).tobytes()
-            if v_key not in weights:
-                weights[v_key] = 0.0
-                vertices[v_key] = v.copy()
-            weights[v_key] += gamma
-            stale = [key for key, lam in weights.items() if lam <= _WEIGHT_FLOOR]
-            for key in stale:
-                del weights[key]
-                del vertices[key]
-
-        total = sum(weights.values())
-        for key in weights:
-            weights[key] /= total
-        x = combo()
-        value = float(x @ d @ x + w_vec @ x)
+        active.step(row, gamma, is_away)
+        x = x + gamma * direction
+        dx = dx + gamma * d_direction
+        value = float(x @ dx + w_vec @ x)
         trace.append(value)
 
-    gap = max(gap, 0.0)
+    # Exact certificate: upper_bound must not rest on the carried x and D @ x.
+    x = active.point()
+    dx = d @ x
+    value = float(x @ dx + w_vec @ x)
+    grad = 2.0 * dx + w_vec
+    v = greedy_basis_lmo(m, alpha, grad)
+    gap = max(float(grad @ (v - x)), 0.0)
     return SliceSolution(
         alpha=alpha,
         point=FractionalPoint.of(x, value=value),

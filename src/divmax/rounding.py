@@ -273,7 +273,9 @@ def round_step(
     dx = d @ x
     kappa = 2.0 * float(dx[i] - dx[j]) - 2.0 * float(d[i, j]) * float(x[j] - x[i])
     kappa += float(w_vec[i] - w_vec[j])
-    threshold = NUM_TOL * (1.0 + abs(value_before))
+    # Relative to the value (>= 0), so the sign does not change when D and
+    # w are scaled together.
+    threshold = NUM_TOL * value_before
     sign = 1 if kappa >= -threshold else -1
     inc, dec = (i, j) if sign == 1 else (j, i)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import divmax
+from divmax.relaxation import _WEIGHT_FLOOR, ITER_CAP_SCALE
 
 
 def random_certified(seed: int, n: int, kind: str = "l2", dim: int = 3):
@@ -66,6 +67,86 @@ def random_base_point(m, seed: int) -> np.ndarray:
     for lam in weights:
         x += lam * divmax.greedy_basis_lmo(m, k, rng.standard_normal(n))
     return x
+
+
+def reference_solve_slice(dm, m, alpha, w=None, *, gap_tol=1e-6, max_iters=None):
+    """Dense reference for `divmax.solve_slice`, with the same iterates and step rule.
+
+    Each iteration forms D @ x, the curvature and the value with n x n
+    products, and keeps the active set as a dict keyed by the vertex bytes;
+    the away vertex is the first minimizer in insertion order.  Returns
+    (x, value, gap, iterations, converged), with value and gap taken at the
+    final x.
+    """
+    d = dm.d
+    n = dm.n
+    w_vec = np.zeros(n) if w is None else np.asarray(w, dtype=float)
+    if max_iters is None:
+        max_iters = ITER_CAP_SCALE * n * alpha
+
+    x = divmax.greedy_basis_lmo(m, alpha, 2.0 * alpha * d[0] + w_vec)
+    weights = {x.astype(np.int8).tobytes(): 1.0}
+    vertices = {next(iter(weights)): x.copy()}
+
+    def combo():
+        acc = np.zeros(n)
+        for key, lam in weights.items():
+            acc += lam * vertices[key]
+        return acc
+
+    value = float(x @ d @ x + w_vec @ x)
+    gap = np.inf
+    converged = False
+    iterations = 0
+    for iterations in range(max_iters + 1):
+        grad = 2.0 * (d @ x) + w_vec
+        v = divmax.greedy_basis_lmo(m, alpha, grad)
+        gap = float(grad @ (v - x))
+        if gap <= gap_tol * value:
+            converged = True
+            break
+        if iterations == max_iters:
+            break
+
+        away_key = min(weights, key=lambda kk: float(grad @ vertices[kk]))
+        a = vertices[away_key]
+        gap_away = float(grad @ (x - a))
+        lam_a = weights[away_key]
+        if gap >= gap_away or lam_a >= 1.0:
+            direction, gamma_max, is_away = v - x, 1.0, False
+        else:
+            direction, gamma_max, is_away = x - a, lam_a / (1.0 - lam_a), True
+
+        slope = float(grad @ direction)
+        curv = float(direction @ d @ direction)
+        gamma = slope / (-2.0 * curv) if -2.0 * curv * gamma_max > slope else gamma_max
+        if gamma <= 0.0:
+            converged = True
+            break
+
+        if is_away:
+            for key in weights:
+                weights[key] *= 1.0 + gamma
+            weights[away_key] -= gamma
+        else:
+            for key in weights:
+                weights[key] *= 1.0 - gamma
+            v_key = v.astype(np.int8).tobytes()
+            if v_key not in weights:
+                weights[v_key] = 0.0
+                vertices[v_key] = v.copy()
+            weights[v_key] += gamma
+        for key in [key for key, lam in weights.items() if lam <= _WEIGHT_FLOOR]:
+            del weights[key]
+            del vertices[key]
+        total = sum(weights.values())
+        for key in weights:
+            weights[key] /= total
+        x = combo()
+        value = float(x @ d @ x + w_vec @ x)
+
+    gap = max(float(gap), 0.0)
+    return x, value, gap, iterations, converged
 
 
 @pytest.fixture

@@ -2,10 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import divmax
-from divmax.cli import main
+from divmax.cli import _bound_checks, main
 from divmax.io import canonical_dumps, doc_to_json
 
 NOT_NEGATIVE_TYPE = {
@@ -237,6 +238,23 @@ class TestSolve:
         assert report["rounding"]["value"] == pytest.approx(sum(scores[e - 1] for e in basis))
         assert report["opt_upper_bound"] >= report["baselines"]["exact"]["value"]
         assert report["baselines"]["exact"]["value"] == pytest.approx(max(scores))
+
+
+class TestBoundChecks:
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_guarantee_slack_is_relative(self, scale):
+        # The verdict reads the same at every scale: a shortfall of 1e-12 of
+        # the target is rounding slack, one of 1e-6 is a miss.
+        dm = divmax.DistanceMatrix(scale * (np.ones((40, 40)) - np.eye(40)))
+        x_star = np.full(40, 0.5)
+        value = float(x_star @ dm.d @ x_star)
+        target = divmax.guarantee_factor(20) * value
+        assert target > 0.0
+        checks = _bound_checks(dm, None, 20, x_star, value, target * (1.0 - 1e-12))
+        assert checks["guarantee_target"] == target
+        assert checks["guarantee_satisfied"] is True
+        checks = _bound_checks(dm, None, 20, x_star, value, target * (1.0 - 1e-6))
+        assert checks["guarantee_satisfied"] is False
 
 
 class TestExact:
