@@ -124,7 +124,7 @@ def local_search_half(
                 if m.rank(cand) != k:
                     continue
                 gain = 2.0 * float(d[b, inside].sum()) + w_vec[b] - base_drop
-                if gain > best_gain + 1e-12 * (1.0 + abs(val)):
+                if gain > best_gain + 1e-12 * abs(val):
                     best_gain = gain
                     best_swap = (a, b)
         if best_swap is None:

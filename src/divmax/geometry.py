@@ -37,6 +37,11 @@ PSD_TOL_SCALE = 1e-8
 NUM_TOL = 1e-9
 # Additive slack allowed when checking the triangle inequality.
 METRIC_TOL = 1e-9
+# Cap on the bytes of one block temporary of the distance builders.
+_BLOCK_BYTES = 1 << 20
+# l2 entries whose Gram value g = |a|^2 + |b|^2 - 2 a.b is at most this
+# fraction of |a|^2 + |b|^2 are recomputed from the point differences.
+_GRAM_CANCEL = 1e-4
 
 NORM_KINDS = ("l1", "l2", "lp", "cosine")
 SET_KINDS = ("jaccard", "dice", "simple_matching", "russell_rao")
@@ -116,12 +121,67 @@ class UnionInequalityCheck:
 
 
 def _finalize(m: np.ndarray) -> DistanceMatrix:
-    # Exact symmetrization plus diagonal/negativity cleanup of float fuzz.
+    # Diagonal and negativity cleanup of float fuzz, in place.  Every builder
+    # forms entry (i, j) by the same operations as (j, i), so m is already
+    # exactly symmetric; DistanceMatrix re-checks that.
     m = np.asarray(m, dtype=float)
-    m = 0.5 * (m + m.T)
     np.fill_diagonal(m, 0.0)
     np.clip(m, 0.0, None, out=m)
     return DistanceMatrix(m)
+
+
+def _block_rows(n: int, width: int) -> int:
+    """Rows per block so that a (rows, n, width) float temporary fits _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * n * max(width, 1)))
+
+
+def _minkowski(pts: np.ndarray, p: float) -> np.ndarray:
+    """sum_k |a_k - b_k|**p, then the p-th root, one block of rows at a time.
+
+    Each entry is reduced over the same contiguous axis as the full
+    (n, n, dim) difference tensor would be, so the result is bit-identical.
+    """
+    n, dim = pts.shape
+    out = np.empty((n, n))
+    step = _block_rows(n, dim)
+    for r0 in range(0, n, step):
+        diff = pts[r0 : r0 + step, None, :] - pts[None, :, :]
+        np.abs(diff, out=diff)
+        if p != 1.0:
+            np.power(diff, p, out=diff)
+        diff.sum(axis=-1, out=out[r0 : r0 + step])
+    if p != 1.0:
+        np.power(out, 1.0 / p, out=out)
+    return out
+
+
+def _euclidean(pts: np.ndarray) -> np.ndarray:
+    """l2 distances from the Gram identity |a - b|^2 = |a|^2 + |b|^2 - 2 a.b.
+
+    The points are centered first, which leaves differences unchanged and
+    keeps |a|^2 + |b|^2 small against |a - b|^2.  Where the identity still
+    cancels, g <= _GRAM_CANCEL * (|a|^2 + |b|^2), |a - b|^2 is summed from
+    the differences of the original points instead, which keeps the
+    relative error of every entry below about 1e-11.  The diagonal is
+    exactly 0.
+    """
+    n, dim = pts.shape
+    centered = pts - pts.mean(axis=0)
+    sq = np.einsum("ij,ij->i", centered, centered)
+    g = centered @ centered.T  # numpy forms x @ x.T symmetrically (syrk)
+    step = _block_rows(n, dim)
+    for r0 in range(0, n, step):
+        rows = g[r0 : r0 + step]
+        scale = sq[r0 : r0 + step, None] + sq[None, :]
+        rows *= -2.0
+        rows += scale
+        i, j = np.nonzero(rows <= _GRAM_CANCEL * scale)
+        if i.size:
+            diff = pts[r0 + i] - pts[j]
+            rows[i, j] = (diff * diff).sum(axis=-1)
+    np.clip(g, 0.0, None, out=g)
+    np.sqrt(g, out=g)
+    return g
 
 
 def _points_array(data) -> np.ndarray:
@@ -134,7 +194,7 @@ def _points_array(data) -> np.ndarray:
         raise InvalidInputError("need at least 2 points")
     if not np.isfinite(pts).all():
         raise InvalidInputError("points must be finite")
-    return pts
+    return np.ascontiguousarray(pts)
 
 
 def _incidence(data, universe) -> np.ndarray:
@@ -177,6 +237,12 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
       "explicit"          -- `data` is the matrix itself
 
     Set-based kinds require `universe` (an int size or an iterable of items).
+
+    Memory: beyond the n x n result and the read-only copy DistanceMatrix
+    keeps, no temporary has more than n * n floats.  l1 and lp work one
+    block of rows at a time, each block's (rows, n, dim) difference tensor
+    capped near _BLOCK_BYTES (1 MiB); l2 forms the Gram matrix in the result
+    buffer and recomputes cancelling pairs in blocks of the same size.
     """
     if kind == "explicit":
         return DistanceMatrix(np.asarray(data, dtype=float))
@@ -199,14 +265,7 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
             p = float(p)
             if not 1.0 <= p <= 2.0:
                 raise InvalidInputError(f"lp exponent must satisfy 1 <= p <= 2, got {p}")
-        diff = np.abs(pts[:, None, :] - pts[None, :, :])
-        if p == 1.0:
-            m = diff.sum(axis=-1)
-        elif p == 2.0:
-            m = np.sqrt((diff**2).sum(axis=-1))
-        else:
-            m = (diff**p).sum(axis=-1) ** (1.0 / p)
-        return _finalize(m)
+        return _finalize(_euclidean(pts) if p == 2.0 else _minkowski(pts, p))
 
     if kind in SET_KINDS:
         b = _incidence(data, universe)
@@ -237,7 +296,12 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
 def is_metric(dm: DistanceMatrix, tol: float = METRIC_TOL) -> bool:
     """Check the triangle inequality d(i,j) <= d(i,k) + d(k,j) up to `tol`."""
     d = dm.d
-    through = np.min(d[:, None, :] + d[None, :, :], axis=2)
+    # through[i, j] = min_k d(i, k) + d(k, j), accumulated one k at a time.
+    through = np.full_like(d, np.inf)
+    via = np.empty_like(d)
+    for k in range(dm.n):
+        np.add(d[:, k, None], d[k, None, :], out=via)
+        np.minimum(through, via, out=through)
     return bool(np.all(d <= through + tol))
 
 
@@ -287,11 +351,14 @@ def schoenberg_form(dm: DistanceMatrix, base_point: int = 0) -> SchoenbergForm:
     if not 0 <= base_point < n:
         raise InvalidInputError(f"base point {base_point} out of range for n={n}")
     c = dm.d[base_point].copy()
-    q = 0.5 * (c[:, None] + c[None, :] - dm.d)
+    # (c[i] + c[j] - d[i, j]) / 2 is formed alike for (i, j) and (j, i), so Q
+    # is exactly symmetric because D is.
+    q = np.add.outer(c, c)
+    q -= dm.d
+    q *= 0.5
     # The base row/column is zero in exact arithmetic; pin it exactly.
     q[base_point, :] = 0.0
     q[:, base_point] = 0.0
-    q = 0.5 * (q + q.T)
     q.setflags(write=False)
     c.setflags(write=False)
     return SchoenbergForm(q=q, c=c, base_point=base_point)
@@ -300,19 +367,20 @@ def schoenberg_form(dm: DistanceMatrix, base_point: int = 0) -> SchoenbergForm:
 def certify_negative_type(dm: DistanceMatrix) -> NegTypeCertificate:
     """Spectral test: D is of negative type iff Q is PSD.
 
-    The eigendecomposition runs on Q restricted to the non-base coordinates.
+    The eigenvalues of Q restricted to the non-base coordinates come from
+    `eigvalsh`, which gives both the verdict and `min_eigenvalue`.
     Acceptance threshold: min eigenvalue >= -PSD_TOL_SCALE * (1 + ||Q||_inf).
-    On rejection the certificate carries a witness b (zero-sum, b @ D @ b > 0)
-    assembled from the most negative eigenvector.
+    Only on rejection does `eigh` run, to get the most negative eigenvector,
+    from which the certificate's witness b (zero-sum, b @ D @ b > 0) is
+    assembled.
     """
     form = schoenberg_form(dm, 0)
-    sub = form.q[1:, 1:]
-    evals, evecs = np.linalg.eigh(sub)
-    min_eig = float(evals[0])
     tau = PSD_TOL_SCALE * (1.0 + float(np.abs(form.q).sum(axis=1).max()))
+    sub = form.q[1:, 1:]
+    min_eig = float(np.linalg.eigvalsh(sub)[0])
     if min_eig >= -tau:
         return NegTypeCertificate(is_negative_type=True, min_eigenvalue=min_eig)
-    u = evecs[:, 0]
+    u = np.linalg.eigh(sub)[1][:, 0]
     b = np.empty(dm.n)
     b[1:] = u
     b[0] = -u.sum()

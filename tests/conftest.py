@@ -33,6 +33,68 @@ def random_certified(seed: int, n: int, kind: str = "l2", dim: int = 3):
     return divmax.build_distance(sets, kind, universe=universe)
 
 
+def reference_build_distance(points, kind: str, p: float | None = None) -> np.ndarray:
+    """Dense reference for l1, l2 and lp points: the full n x n x dim differences.
+
+    This is the builder `divmax.build_distance` used before it worked in
+    blocks; it returns the cleaned, exactly symmetric matrix as an array.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    p = {"l1": 1.0, "l2": 2.0}.get(kind, p)
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    if p == 1.0:
+        m = diff.sum(axis=-1)
+    elif p == 2.0:
+        m = np.sqrt((diff**2).sum(axis=-1))
+    else:
+        m = (diff**p).sum(axis=-1) ** (1.0 / p)
+    m = 0.5 * (m + m.T)
+    np.fill_diagonal(m, 0.0)
+    np.clip(m, 0.0, None, out=m)
+    return m
+
+
+def reference_is_metric(d: np.ndarray, tol: float) -> bool:
+    """Triangle-inequality check through the full n x n x n sum tensor."""
+    through = np.min(d[:, None, :] + d[None, :, :], axis=2)
+    return bool(np.all(d <= through + tol))
+
+
+def reference_certify(dm):
+    """Full-`eigh` negative-type test: (verdict, min eigenvalue, witness, ||Q||_inf).
+
+    Q is formed and re-symmetrized as before certification ran on
+    eigenvalues alone; the witness is None on acceptance.
+    """
+    c = dm.d[0]
+    q = 0.5 * (c[:, None] + c[None, :] - dm.d)
+    q[0, :] = 0.0
+    q[:, 0] = 0.0
+    q = 0.5 * (q + q.T)
+    evals, evecs = np.linalg.eigh(q[1:, 1:])
+    q_norm = float(np.abs(q).sum(axis=1).max())
+    accepted = bool(evals[0] >= -divmax.geometry.PSD_TOL_SCALE * (1.0 + q_norm))
+    witness = None
+    if not accepted:
+        witness = np.concatenate([[-evecs[:, 0].sum()], evecs[:, 0]])
+    return accepted, float(evals[0]), witness, q_norm
+
+
+def assert_matches_eigh_reference(dm):
+    """Verdict, min eigenvalue and witness as a full `eigh` gives them."""
+    cert = divmax.certify_negative_type(dm)
+    accepted, min_eig, witness, q_norm = reference_certify(dm)
+    assert cert.is_negative_type == accepted
+    assert abs(cert.min_eigenvalue - min_eig) <= 1e-12 * (1.0 + q_norm)
+    if accepted:
+        assert cert.witness is None and cert.witness_value is None
+    else:
+        assert np.allclose(cert.witness, witness, rtol=0.0, atol=1e-12)
+        assert cert.witness_value == pytest.approx(float(witness @ dm.d @ witness))
+
+
 def random_matroid(seed: int, n: int):
     """Uniform or partition matroid with random parameters."""
     rng = np.random.default_rng(seed)

@@ -95,6 +95,16 @@ class TestLocalSearch:
         assert m.is_independent(res.elements)
         assert len(res.elements) == m.full_rank
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_swaps_do_not_change_with_scale(self, seed):
+        # The improvement threshold is relative to the value, so scaling D
+        # changes neither the path nor the local optimum.
+        dm, m, _ = divmax.materialize(divmax.gen_random_points(40, 3, "l2", seed, k=6))
+        ref = divmax.local_search_half(dm, m)
+        for c in (1e-12, 1e-8, 1.0, 1e8, 1e12):
+            res = divmax.local_search_half(divmax.DistanceMatrix(c * dm.d), m)
+            assert (res.elements, res.swaps) == (ref.elements, ref.swaps), c
+
 
 class TestRandomizedRounding:
     def test_eps_one_empty(self):

@@ -1,13 +1,20 @@
 """Distance catalogue, transforms, Schoenberg decomposition, certification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import divmax
 from divmax.errors import InvalidInputError
-from divmax.geometry import METRIC_TOL, NUM_TOL, PSD_TOL_SCALE
+from divmax.geometry import METRIC_TOL, NUM_TOL, PSD_TOL_SCALE, _block_rows
 
-from conftest import random_certified
+from conftest import (
+    assert_matches_eigh_reference,
+    random_certified,
+    reference_build_distance,
+    reference_is_metric,
+)
 
 
 class TestDistanceMatrix:
@@ -107,6 +114,95 @@ class TestBuildDistance:
             divmax.build_distance([[0.0], [1.0]], "hamming")
 
 
+class TestBuildDistanceAccuracy:
+    """The blocked and Gram-identity builders against the difference tensor."""
+
+    @pytest.mark.parametrize("kind,p", [("l1", None), ("lp", 1.5)])
+    @pytest.mark.parametrize("n,dim", [(9, 3), (300, 16), (700, 1)])
+    def test_l1_lp_bit_identical(self, kind, p, n, dim):
+        pts = np.random.default_rng(n + dim).standard_normal((n, dim))
+        if n > 9:
+            # Several blocks, the last one short.
+            assert 1 < _block_rows(n, dim) < n and n % _block_rows(n, dim)
+        got = divmax.build_distance(pts, kind, p=p).d
+        assert np.array_equal(got, reference_build_distance(pts, kind, p))
+
+    @staticmethod
+    def _l2_cases():
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal((150, 5))
+        near = np.vstack([base, base + 1e-9 * rng.standard_normal(base.shape)])
+        return {
+            "random": rng.standard_normal((300, 8)),
+            "near_duplicates": near,
+            "shifted_1e6": rng.standard_normal((500, 4)) + 1e6,
+            "scaled_1e-8": 1e-8 * rng.standard_normal((200, 6)),
+            "scaled_1e8": 1e8 * rng.standard_normal((200, 6)),
+            "one_far_point": np.vstack([rng.standard_normal((99, 3)), [[1e8, 0.0, 0.0]]]),
+        }
+
+    @pytest.mark.parametrize(
+        "case",
+        ["random", "near_duplicates", "shifted_1e6", "scaled_1e-8", "scaled_1e8", "one_far_point"],
+    )
+    def test_l2_relative_accuracy(self, case):
+        pts = self._l2_cases()[case]
+        got = divmax.build_distance(pts, "l2").d
+        ref = reference_build_distance(pts, "l2")
+        assert (ref > 0).sum() == pts.shape[0] * (pts.shape[0] - 1)
+        assert np.max(np.abs(got - ref) / np.where(ref > 0, ref, 1.0)) <= 1e-11
+
+    def test_l2_exact_duplicates_are_zero(self):
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((40, 7)) * 1e3 + 5e5
+        pts = np.vstack([pts, pts[::3], pts[:5]])
+        got = divmax.build_distance(pts, "l2").d
+        ref = reference_build_distance(pts, "l2")
+        assert np.array_equal(got == 0, ref == 0)
+        assert (got == 0).sum() > pts.shape[0]
+
+    @pytest.mark.parametrize("kind", ["l2", "cosine"])
+    def test_strided_and_fortran_points_build(self, kind):
+        rng = np.random.default_rng(2)
+        wide = rng.standard_normal((120, 12))
+        ref = divmax.build_distance(np.ascontiguousarray(wide[:, ::3]), kind).d
+        for pts in (wide[:, ::3], np.asfortranarray(wide[:, ::3])):
+            assert np.array_equal(divmax.build_distance(pts, kind).d, ref)
+
+
+def _traced_peak_units(fn, n: int) -> float:
+    """Peak traced allocation of fn() in units of one n x n float matrix."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8.0 * n * n)
+
+
+class TestMemoryBound:
+    """Traced peaks of the front end, counted in bytes rather than time."""
+
+    @pytest.mark.parametrize("kind,n,dim", [("l1", 1500, 16), ("l2", 2000, 8)])
+    def test_build_distance_peak(self, kind, n, dim):
+        pts = np.random.default_rng(0).standard_normal((n, dim))
+        assert _traced_peak_units(lambda: divmax.build_distance(pts, kind), n) < 4.0
+
+    def test_identical_l2_points_peak(self):
+        # Every pair cancels in the Gram identity and is recomputed.
+        n = 2000
+        pts = np.tile(np.arange(8.0), (n, 1))
+        out = []
+        assert _traced_peak_units(lambda: out.append(divmax.build_distance(pts, "l2")), n) < 4.0
+        assert not out[0].d.any()
+
+    def test_certify_peak(self):
+        n = 1000
+        dm = divmax.build_distance(np.random.default_rng(1).standard_normal((n, 8)), "l2")
+        assert _traced_peak_units(lambda: divmax.certify_negative_type(dm), n) < 3.0
+
+
 class TestMetric:
     def test_l2_is_metric(self):
         assert divmax.is_metric(random_certified(3, 8, "l2"))
@@ -114,6 +210,25 @@ class TestMetric:
     def test_squared_line_is_not_metric(self):
         dm = divmax.DistanceMatrix(np.array([[0.0, 1, 4], [1, 0, 1], [4, 1, 0]]))
         assert not divmax.is_metric(dm)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_sum_tensor_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 5 + 7 * seed
+        metric = random_certified(seed, n, "l1").d
+        raw = rng.random((n, n))
+        raw = raw + raw.T
+        np.fill_diagonal(raw, 0.0)
+        # d(0, 1) exceeds its shortest two-step path by exactly METRIC_TOL,
+        # then by one ulp more.
+        edge = metric.copy()
+        edge[0, 1] = edge[1, 0] = (metric[0, 2:] + metric[2:, 1]).min() + METRIC_TOL
+        past = edge.copy()
+        past[0, 1] = past[1, 0] = np.nextafter(edge[0, 1], np.inf)
+        for d in (metric, raw, metric**2, edge, past):
+            dm = divmax.DistanceMatrix(d)
+            for tol in (0.0, METRIC_TOL):
+                assert divmax.is_metric(dm, tol) == reference_is_metric(dm.d, tol)
 
 
 class TestTransforms:
@@ -243,6 +358,19 @@ class TestCertification:
         cert = divmax.certify_negative_type(dm)
         assert cert.is_negative_type
         assert cert.min_eigenvalue == pytest.approx(0.0, abs=1e-15)
+
+    def test_matches_eigh_reference_on_catalogue(self):
+        # The criterion-1 catalogue, plus the 1-1-5 triangle.
+        dms = [divmax.build_distance([[0, 1, 1], [1, 0, 5], [1, 5, 0]], "explicit")]
+        for kind in ("l1", "l2", "lp", "cosine", "jaccard", "dice", "simple_matching", "russell_rao"):
+            for seed in range(50):
+                n = 4 + (seed * 7) % 61
+                dim = 3 if kind in ("l1", "l2", "lp", "cosine") else 8
+                p = 1.0 + seed / 50.0 if kind == "lp" else None
+                doc = divmax.gen_random_points(n, dim, kind, seed, p=p, k=2)
+                dms.append(divmax.materialize(doc)[0])
+        for dm in dms:
+            assert_matches_eigh_reference(dm)
 
     def test_zero_sum_vectors_never_positive(self):
         # Direct quadratic-form check of what the certificate promises.

@@ -9,6 +9,8 @@ import divmax
 from divmax.io import canonical_dumps
 from divmax.matroids import ExplicitRankMatroid, PartitionMatroid, UniformMatroid
 
+from conftest import assert_matches_eigh_reference
+
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
 
 json_values = st.recursive(
@@ -42,13 +44,15 @@ def test_l1_and_l2_points_always_certify(points):
     for kind in ("l1", "l2"):
         dm = divmax.build_distance(points, kind)
         assert divmax.certify_negative_type(dm).is_negative_type
+        assert_matches_eigh_reference(dm)
 
 
 @given(st.integers(2, 6), st.data())
 @settings(max_examples=60, deadline=None)
 def test_certificate_verdicts_are_self_consistent(n, data):
     # Arbitrary symmetric zero-diagonal matrices; either way the certificate
-    # must be backed by evidence we can recheck directly.
+    # must be backed by evidence we can recheck directly, and agree with a
+    # full eigendecomposition.
     entries = data.draw(
         st.lists(st.floats(0.01, 10, allow_nan=False), min_size=n * (n - 1) // 2,
                  max_size=n * (n - 1) // 2)
@@ -59,6 +63,7 @@ def test_certificate_verdicts_are_self_consistent(n, data):
         for j in range(i + 1, n):
             mat[i, j] = mat[j, i] = next(it)
     dm = divmax.build_distance(mat, "explicit")
+    assert_matches_eigh_reference(dm)
     cert = divmax.certify_negative_type(dm)
     if cert.is_negative_type:
         rng = np.random.default_rng(0)
