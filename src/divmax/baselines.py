@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, RetryLimitError
 from .geometry import DistanceMatrix
-from .matroids import Matroid, greedy_basis_lmo
+from .matroids import Matroid, PartitionMatroid, greedy_basis_lmo
 
 BRUTE_FORCE_MAX_N = 20
 
@@ -88,6 +88,8 @@ def local_search_half(
 
     From a basis B, evaluate every feasible swap B - a + b and apply the one
     with the largest strict improvement (ties: lexicographic on (a, b)).
+    Swaps on a partition matroid are checked by block counts, on other
+    kinds by the rank oracle.
     Terminates at a local optimum; offered as an empirical comparison
     baseline for the relax-and-round pipeline.
     """
@@ -110,18 +112,28 @@ def local_search_half(
         idx = sorted(s)
         return float(d[np.ix_(idx, idx)].sum() + w_vec[idx].sum())
 
+    partition = isinstance(m, PartitionMatroid)
+    if partition:
+        block_of = m.block_of.tolist()
     val = value_of(basis)
     swaps = 0
     while max_sweeps is None or swaps < max_sweeps:
         best_gain = 0.0
         best_swap = None
         outside = [e for e in range(n) if e not in basis]
+        if partition:
+            counts = np.bincount(m.block_of[sorted(basis)], minlength=len(m.blocks))
+            spare = (counts < np.asarray(m.capacities)).tolist()
         for a in sorted(basis):
             inside = [e for e in basis if e != a]
             base_drop = 2.0 * float(d[a, inside].sum()) + w_vec[a]
             for b in outside:
-                cand = inside + [b]
-                if m.rank(cand) != k:
+                if partition:
+                    # B - a + b is a basis iff b joins a's block or a block
+                    # with spare capacity in B.
+                    if block_of[b] != block_of[a] and not spare[block_of[b]]:
+                        continue
+                elif m.rank(inside + [b]) != k:
                     continue
                 gain = 2.0 * float(d[b, inside].sum()) + w_vec[b] - base_drop
                 if gain > best_gain + 1e-12 * abs(val):

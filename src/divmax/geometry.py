@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import InternalInvariantError, InvalidInputError
 
-# PSD acceptance cutoff is PSD_TOL_SCALE * (1 + ||Q||_inf), with ||.||_inf
-# the max absolute row sum.
+# PSD acceptance cutoff is PSD_TOL_SCALE * ||Q||_inf, with ||.||_inf the max
+# absolute row sum: relative, so the verdict does not change when D is scaled.
 PSD_TOL_SCALE = 1e-8
 # Relative tolerance for numeric identities and inequality checks.
 NUM_TOL = 1e-9
@@ -369,13 +369,15 @@ def certify_negative_type(dm: DistanceMatrix) -> NegTypeCertificate:
 
     The eigenvalues of Q restricted to the non-base coordinates come from
     `eigvalsh`, which gives both the verdict and `min_eigenvalue`.
-    Acceptance threshold: min eigenvalue >= -PSD_TOL_SCALE * (1 + ||Q||_inf).
+    Acceptance threshold: min eigenvalue >= -PSD_TOL_SCALE * ||Q||_inf, so
+    c * D gets the same verdict as D for every c > 0; an all-zero D has
+    Q == 0 and is accepted.
     Only on rejection does `eigh` run, to get the most negative eigenvector,
     from which the certificate's witness b (zero-sum, b @ D @ b > 0) is
     assembled.
     """
     form = schoenberg_form(dm, 0)
-    tau = PSD_TOL_SCALE * (1.0 + float(np.abs(form.q).sum(axis=1).max()))
+    tau = PSD_TOL_SCALE * float(np.abs(form.q).sum(axis=1).max())
     sub = form.q[1:, 1:]
     min_eig = float(np.linalg.eigvalsh(sub)[0])
     if min_eig >= -tau:

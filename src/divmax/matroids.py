@@ -13,10 +13,14 @@ this module provides the pieces the solver and the rounding procedure need:
   * max_feasible_step  -- how far x can move along e_i - e_j
   * lift_to_base       -- raise a polytope point to the base polytope
 
-Subset searches use closed forms for uniform and partition matroids and
-bounded brute force (window size <= W_MAX) otherwise.  Tie-breaking is
-deterministic everywhere: smaller subsets first, then lexicographic by
-sorted element tuple; per-size selections prefer larger x then lower index.
+Slack searches use closed forms for uniform and partition matroids and one
+minimum cut per vertex of the contracted graph for graphic matroids; only
+explicit rank tables (n <= W_MAX) and rank-only subclasses enumerate the
+subsets of a window, which must then hold at most W_MAX elements.
+Tie-breaking is deterministic everywhere: smaller subsets first, then
+lexicographic by sorted element tuple; per-size selections prefer larger x
+then lower index.  The graphic search returns the minimal minimizer, which
+is the smallest one and unique in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -28,9 +32,12 @@ import numpy as np
 
 from .errors import InternalInvariantError, InvalidInputError
 
-# Hard cap on brute-force subset windows for oracle-only matroids.
+# Hard cap on brute-force subset windows (explicit rank tables, rank-only kinds).
 W_MAX = 20
 NUM_TOL = 1e-9
+# Residual capacities at or below this fraction of a network's total
+# capacity count as saturated when a minimal minimum cut is read off.
+_CUT_TOL = 1e-12
 
 
 class Matroid:
@@ -441,14 +448,129 @@ def _slack_brute(m: Matroid, x, i, j, window, prefix):
     return SlackResult(float(best_val), frozenset(best_members))
 
 
+def _residual_tree(res, source, tol):
+    """Breadth-first predecessors over residual capacities above tol; -1 if unreached."""
+    prev = [-1] * len(res)
+    prev[source] = source
+    queue = [source]
+    for a in queue:
+        for b, r in enumerate(res[a]):
+            if r > tol and prev[b] < 0:
+                prev[b] = a
+                queue.append(b)
+    return prev
+
+
+def _min_cut_source_side(cap, source, sink) -> list:
+    """Minimal source side of a minimum source-sink cut (dense Edmonds-Karp).
+
+    After the maximum flow, the nodes reachable from the source along
+    residual capacities above _CUT_TOL times the total capacity form the
+    source side that every minimum cut's source side contains.
+    """
+    res = [row[:] for row in cap]
+    tol = _CUT_TOL * sum(map(sum, cap))
+    while True:
+        prev = _residual_tree(res, source, tol)
+        if prev[sink] < 0:
+            return [u for u, p in enumerate(prev) if p >= 0]
+        path = []
+        b = sink
+        while b != source:
+            path.append((prev[b], b))
+            b = prev[b]
+        flow = min(res[a][b] for a, b in path)
+        for a, b in path:
+            res[a][b] -= flow
+            res[b][a] += flow
+
+
+def _slack_graphic(m: GraphicMatroid, x, i, j, window, prefix):
+    """Exact windowed slack minimum of a graphic matroid, one minimum cut per vertex.
+
+    Contract the prefix and i, delete j and every edge outside the window:
+    r(prefix|T) - x(prefix|T) is then a constant plus r'(T') - x(T') over
+    edge sets T' of the contracted multigraph H.  Edges of zero mass never
+    lower it, and a positive-mass edge whose ends H identifies is a loop,
+    in every minimizer.  On the rest, min r'(T') - x(T') is the minimum over
+    vertex partitions of H of sum h(U), h(U) = |U| - 1 - x(E(U)), reached
+    by the positive edges inside the parts (Cunningham, "Optimal attack and
+    reinforcement of a network", J. ACM 1985).  That is the Dilworth
+    truncation of h: visiting the vertices in order, the optimal partition
+    of the visited ones grows by merging the next vertex v with the set A
+    of current parts minimizing h(v|A) - sum_{p in A} h(p), which is
+    sum_{p in A} (1 - deg(p)/2) + x(delta(A|v))/2 up to a constant: one
+    minimum cut with v as the source.  Taking the minimal source side each
+    time gives the minimal minimizer, the set `_slack_brute` picks in exact
+    arithmetic.  The value is computed from that set as `_slack_brute` does.
+    """
+    forest = _GraphicIncremental(m)
+    for e in sorted(prefix) + [i]:
+        forest.try_add(e)
+    find = forest._find
+    members = [i]
+    arcs = []
+    for e in sorted(window - {i, j}):
+        if x[e] <= 0:
+            continue
+        u, v = (find(a) for a in m.edges[e])
+        if u == v:
+            members.append(e)
+        else:
+            arcs.append((u, v, e))
+
+    index = {u: k for k, u in enumerate(sorted({u for arc in arcs for u in arc[:2]}))}
+    arcs = [(index[u], index[v], e) for u, v, e in arcs]
+    h = len(index)
+    mass_between = [[0.0] * h for _ in range(h)]
+    for u, v, e in arcs:
+        mass_between[u][v] += x[e]
+        mass_between[v][u] += x[e]
+
+    parts: list[list[int]] = []
+    label = [0] * h
+    for v in range(h):
+        # Nodes: the current parts 0..q-1, then v (the source) and the sink.
+        q = len(parts)
+        label[v] = q
+        w = [[0.0] * (q + 1) for _ in range(q + 1)]
+        for a in range(v + 1):
+            for b in range(a):
+                if label[a] != label[b]:
+                    w[label[a]][label[b]] += mass_between[a][b]
+                    w[label[b]][label[a]] += mass_between[a][b]
+        cap = [[c / 2.0 for c in row] + [0.0] for row in w] + [[0.0] * (q + 2)]
+        for p in range(q):
+            # Part p on the source side costs 1 - deg(p)/2.
+            cost = 1.0 - sum(w[p]) / 2.0
+            if cost > 0:
+                cap[p][q + 1] = cost
+            else:
+                cap[q][p] -= cost
+        merged = set(_min_cut_source_side(cap, q, q + 1)) - {q}
+        joined = [a for p in sorted(merged) for a in parts[p]] + [v]
+        parts = [part for p, part in enumerate(parts) if p not in merged] + [joined]
+        for k, part in enumerate(parts):
+            for a in part:
+                label[a] = k
+
+    members.extend(e for u, v, e in arcs if label[u] == label[v])
+    prefix_list = sorted(prefix)
+    combo = sorted(members[1:])
+    mass = float(sum(x[e] for e in prefix_list)) + x[i] + float(sum(x[e] for e in combo))
+    val = m.rank(prefix_list + [i] + combo) - mass
+    return SlackResult(float(val), frozenset(members))
+
+
 def slack_minimize(m: Matroid, x, i, j, window, prefix=frozenset()) -> SlackResult:
     """Minimize r(prefix|T) - x(prefix|T) over T <= window with i in T, j not.
 
     `j=None` drops the exclusion constraint (then T ranges over all window
     subsets containing i).  `prefix` must be disjoint from the window; the
     returned argmin is T itself, not prefix|T.  Closed-form scans handle
-    uniform and partition matroids; other kinds brute-force the window,
-    which must then have size <= W_MAX.
+    uniform and partition matroids and minimum cuts handle graphic ones,
+    for a window of any size.  Explicit rank tables and rank-only kinds
+    brute-force the window, which must then have size <= W_MAX.
     """
     x = np.asarray(x, dtype=float)
     window_set = _as_set(window, m.n)
@@ -469,6 +591,8 @@ def slack_minimize(m: Matroid, x, i, j, window, prefix=frozenset()) -> SlackResu
         return _slack_uniform(m, x, i, j, window_set, prefix_set)
     if isinstance(m, PartitionMatroid):
         return _slack_partition(m, x, i, j, window_set, prefix_set)
+    if isinstance(m, GraphicMatroid):
+        return _slack_graphic(m, x, i, j, window_set, prefix_set)
     return _slack_brute(m, x, i, j, window_set, prefix_set)
 
 

@@ -75,7 +75,7 @@ def reference_certify(dm):
     q = 0.5 * (q + q.T)
     evals, evecs = np.linalg.eigh(q[1:, 1:])
     q_norm = float(np.abs(q).sum(axis=1).max())
-    accepted = bool(evals[0] >= -divmax.geometry.PSD_TOL_SCALE * (1.0 + q_norm))
+    accepted = bool(evals[0] >= -divmax.geometry.PSD_TOL_SCALE * q_norm)
     witness = None
     if not accepted:
         witness = np.concatenate([[-evecs[:, 0].sum()], evecs[:, 0]])
@@ -93,6 +93,46 @@ def assert_matches_eigh_reference(dm):
     else:
         assert np.allclose(cert.witness, witness, rtol=0.0, atol=1e-12)
         assert cert.witness_value == pytest.approx(float(witness @ dm.d @ witness))
+
+
+def reference_local_search(dm, m, w=None):
+    """Swap local search checking each candidate swap with the rank oracle.
+
+    The loop `divmax.local_search_half` ran for every matroid kind before
+    partition swaps were checked by block counts; same candidate order and
+    improvement threshold.  Returns (elements, value, swaps).
+    """
+    n, k, d = m.n, m.full_rank, dm.d
+    w_vec = np.zeros(n) if w is None else np.asarray(w, dtype=float)
+    basis = set(int(e) for e in np.nonzero(divmax.greedy_basis_lmo(m, k, np.zeros(n)))[0])
+
+    def value_of(s):
+        idx = sorted(s)
+        return float(d[np.ix_(idx, idx)].sum() + w_vec[idx].sum())
+
+    val = value_of(basis)
+    swaps = 0
+    while True:
+        best_gain = 0.0
+        best_swap = None
+        outside = [e for e in range(n) if e not in basis]
+        for a in sorted(basis):
+            inside = [e for e in basis if e != a]
+            base_drop = 2.0 * float(d[a, inside].sum()) + w_vec[a]
+            for b in outside:
+                if m.rank(inside + [b]) != k:
+                    continue
+                gain = 2.0 * float(d[b, inside].sum()) + w_vec[b] - base_drop
+                if gain > best_gain + 1e-12 * abs(val):
+                    best_gain = gain
+                    best_swap = (a, b)
+        if best_swap is None:
+            break
+        basis.discard(best_swap[0])
+        basis.add(best_swap[1])
+        val += best_gain
+        swaps += 1
+    return tuple(sorted(basis)), value_of(basis), swaps
 
 
 def random_matroid(seed: int, n: int):

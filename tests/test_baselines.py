@@ -6,7 +6,7 @@ import pytest
 import divmax
 from divmax.errors import InvalidInputError
 
-from conftest import enumerate_independent, random_certified, random_matroid
+from conftest import enumerate_independent, random_certified, random_matroid, reference_local_search
 
 
 class TestBruteForce:
@@ -104,6 +104,39 @@ class TestLocalSearch:
         for c in (1e-12, 1e-8, 1.0, 1e8, 1e12):
             res = divmax.local_search_half(divmax.DistanceMatrix(c * dm.d), m)
             assert (res.elements, res.swaps) == (ref.elements, ref.swaps), c
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_partition_swaps_match_rank_oracle(self, seed):
+        # Block counts decide partition swaps; the path is the one the rank
+        # oracle gives, with and without scores.
+        kind = ("l1", "l2", "jaccard")[seed % 3]
+        doc = divmax.gen_random_points(
+            20 + 2 * seed, 6, kind, seed, matroid="partition", k=3 + seed % 4,
+            with_scores=seed % 2 == 1,
+        )
+        dm, m, w = divmax.materialize(doc)
+        assert isinstance(m, divmax.PartitionMatroid)
+        res = divmax.local_search_half(dm, m, w=w)
+        elements, value, swaps = reference_local_search(dm, m, w)
+        assert swaps > 0
+        assert (res.elements, res.value, res.swaps) == (elements, value, swaps)
+
+    def test_partition_swaps_make_no_rank_calls(self):
+        class Counting(divmax.PartitionMatroid):
+            calls = 0
+
+            def rank(self, subset):
+                Counting.calls += 1
+                return super().rank(subset)
+
+        dm, m, _ = divmax.materialize(
+            divmax.gen_random_points(60, 4, "l1", 3, matroid="partition", k=6)
+        )
+        counted = Counting(m.blocks, m.capacities)
+        res = divmax.local_search_half(dm, counted)
+        assert res.swaps > 0
+        assert res == divmax.local_search_half(dm, m)
+        assert Counting.calls <= 1  # full_rank
 
 
 class TestRandomizedRounding:

@@ -107,6 +107,28 @@ class TestSolve:
         assert "slices" not in report
         assert set(report["timings"]) == {"certify_s", "relax_s", "round_s", "baselines_s", "total_s"}
 
+    @pytest.mark.parametrize("dropped", [3, 0])
+    def test_graphic_k7_all_ones(self, capsys, tmp_path, dropped):
+        # K7 (21 edges) and K7 minus 3 edges: rings beyond the old 20-edge
+        # brute-force window round to a spanning tree, whose value is 6 * 5.
+        edges = [[u + 1, v + 1] for u in range(7) for v in range(u + 1, 7)][: 21 - dropped]
+        n = len(edges)
+        doc = {
+            "n": n,
+            "distance": {"kind": "explicit", "matrix": (np.ones((n, n)) - np.eye(n)).tolist()},
+            "matroid": {"kind": "graphic", "num_vertices": 7, "edges": edges},
+        }
+        path = tmp_path / "k7.json"
+        path.write_text(json.dumps(doc))
+        report = solve_report(capsys, str(path))
+        basis = report["rounding"]["basis"]
+        assert len(basis) == 6
+        tree = [(edges[e - 1][0] - 1, edges[e - 1][1] - 1) for e in basis]
+        assert divmax.GraphicMatroid(7, tree).full_rank == 6
+        assert report["rounding"]["value"] == pytest.approx(30.0)
+        assert report["opt_upper_bound"] >= 30.0 - 1e-9
+        assert report["bound_checks"]["guarantee_satisfied"] is True
+
     def test_report_is_canonical(self, capsys, gap42):
         _, out, _ = run(capsys, "solve", gap42)
         assert canonical_dumps(json.loads(out)) == out

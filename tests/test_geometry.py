@@ -359,6 +359,34 @@ class TestCertification:
         assert cert.is_negative_type
         assert cert.min_eigenvalue == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("c", [1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1.0, 1e4])
+    def test_single_pair_rejected_at_every_scale(self, c):
+        # One nonzero pair among 6 points is not of negative type at any
+        # scale: the smallest eigenvalue of Q is c * (1 - sqrt 5) / 2.
+        d = np.zeros((6, 6))
+        d[0, 1] = d[1, 0] = c
+        cert = divmax.certify_negative_type(divmax.DistanceMatrix(d))
+        assert not cert.is_negative_type
+        assert cert.min_eigenvalue == pytest.approx(c * (1 - 5**0.5) / 2, rel=1e-9)
+        assert cert.witness_value > 0
+
+    def test_verdicts_do_not_change_with_scale(self):
+        single = np.zeros((6, 6))
+        single[0, 1] = single[1, 0] = 1.0
+        dms = [
+            divmax.build_distance([[0, 1, 1], [1, 0, 5], [1, 5, 0]], "explicit"),
+            divmax.DistanceMatrix(single),
+            divmax.DistanceMatrix(np.zeros((4, 4))),
+        ]
+        for seed, kind in enumerate(("l1", "l2", "lp", "cosine", "jaccard", "dice")):
+            p = 1.5 if kind == "lp" else None
+            dms.append(divmax.materialize(divmax.gen_random_points(12, 4, kind, seed, p=p, k=2))[0])
+        for dm in dms:
+            verdict = divmax.certify_negative_type(dm).is_negative_type
+            for c in (1e-12, 1e-8, 1e-4, 1e4, 1e8):
+                scaled = divmax.DistanceMatrix(c * dm.d)
+                assert divmax.certify_negative_type(scaled).is_negative_type == verdict, c
+
     def test_matches_eigh_reference_on_catalogue(self):
         # The criterion-1 catalogue, plus the 1-1-5 triangle.
         dms = [divmax.build_distance([[0, 1, 1], [1, 0, 5], [1, 5, 0]], "explicit")]

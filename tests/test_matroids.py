@@ -7,7 +7,7 @@ import pytest
 
 import divmax
 from divmax.errors import InvalidInputError
-from divmax.matroids import W_MAX, validate_rank_table
+from divmax.matroids import W_MAX, _slack_brute, validate_rank_table
 
 from conftest import enumerate_independent, random_base_point, random_matroid
 
@@ -193,10 +193,27 @@ class TestSlackMinimize:
             divmax.slack_minimize(m, np.zeros(4), 3, 1, {0, 1})
 
     def test_window_cap_for_brute_kinds(self):
+        # A rank-only kind is searched by brute force up to W_MAX; the same
+        # path graph as a graphic matroid is searched exactly by min cuts.
         n = W_MAX + 2
+        x = np.random.default_rng(0).uniform(0.1, 0.9, size=n)
+
+        class PathRank(divmax.Matroid):
+            kind = "path"
+
+            def __init__(self):
+                self.n = n
+
+            def rank(self, subset):
+                return len(set(subset))
+
+        with pytest.raises(InvalidInputError, match="brute-force cap"):
+            divmax.slack_minimize(PathRank(), x, 0, 1, range(n))
         m = divmax.GraphicMatroid(n + 1, [(v, v + 1) for v in range(n)])
-        with pytest.raises(InvalidInputError):
-            divmax.slack_minimize(m, np.zeros(n), 0, 1, range(n))
+        res = divmax.slack_minimize(m, x, 0, 1, range(n))
+        # Every edge set of a path is independent, so T = {0} is best.
+        assert res.argmin == frozenset({0})
+        assert res.min_slack == m.rank([0]) - x[0]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_closed_forms_match_brute_enumeration(self, seed):
@@ -228,6 +245,73 @@ class TestSlackMinimize:
         res = divmax.slack_minimize(m, x, 0, None, {0, 1, 2})
         # T may include every window element once j is unconstrained.
         assert res.min_slack == pytest.approx(min(1 - 0.2, 2 - 1.1, 2 - 1.1))
+
+
+def random_graphic_window(seed):
+    """Random multigraph (parallel edges, self-loops) with x, prefix, window, i, j.
+
+    Even seeds draw generic x, odd seeds x in {0, 1/3, 1/2, 2/3, 1}, where
+    distinct sets can tie exactly in real arithmetic.
+    """
+    rng = np.random.default_rng(seed)
+    num_vertices = int(rng.integers(2, 7))
+    num_edges = int(rng.integers(3, 15))
+    edges = [tuple(int(v) for v in rng.integers(0, num_vertices, 2)) for _ in range(num_edges)]
+    m = divmax.GraphicMatroid(num_vertices, edges)
+    if seed % 2:
+        x = rng.choice([0.0, 1 / 3, 0.5, 2 / 3, 1.0], size=num_edges)
+    else:
+        x = rng.uniform(0.0, 1.0, size=num_edges) * (rng.random(num_edges) < 0.85)
+    perm = [int(e) for e in rng.permutation(num_edges)]
+    cut = int(rng.integers(0, num_edges // 3 + 1))
+    prefix, window = frozenset(perm[:cut]), frozenset(perm[cut:])
+    i = perm[cut]
+    j = perm[cut + 1] if cut + 1 < num_edges and rng.random() < 0.7 else None
+    return m, x, i, j, window, prefix
+
+
+class TestGraphicSlack:
+    @pytest.mark.parametrize("seed", range(160))
+    def test_matches_brute_force(self, seed):
+        m, x, i, j, window, prefix = random_graphic_window(seed)
+        res = divmax.slack_minimize(m, x, i, j, window, prefix)
+        ref = _slack_brute(m, x, i, j, window, prefix)
+        assert abs(res.min_slack - ref.min_slack) <= 1e-12 * (1 + m.full_rank)
+        assert i in res.argmin and j not in res.argmin and res.argmin <= window
+        # The minimal minimizer; float rounding can make brute force pick a
+        # superset of it when x ties exactly.
+        assert res.argmin <= ref.argmin
+        if seed % 2 == 0:
+            assert res.argmin == ref.argmin
+        chosen = prefix | res.argmin
+        own = m.rank(chosen) - float(sum(x[e] for e in chosen))
+        assert own == pytest.approx(res.min_slack, abs=1e-12 * (1 + m.full_rank))
+
+    def test_loops_and_parallel_edges(self):
+        # Edge 2 closes a cycle with the prefix edge 0 and i = 1, so it is a
+        # loop of the contracted graph; the parallel pair 3, 4 is worth
+        # merging only because its mass exceeds 1.
+        m = divmax.GraphicMatroid(4, [(0, 1), (1, 2), (0, 2), (2, 3), (2, 3), (3, 3)])
+        x = np.array([0.9, 0.5, 0.4, 0.6, 0.7, 0.3])
+        res = divmax.slack_minimize(m, x, 1, None, {1, 2, 3, 4, 5}, prefix={0})
+        assert res.argmin == frozenset({1, 2, 3, 4, 5})
+        assert res.min_slack == pytest.approx(3 - x.sum())
+        ref = _slack_brute(m, x, 1, None, {1, 2, 3, 4, 5}, frozenset({0}))
+        assert (res.min_slack, res.argmin) == (ref.min_slack, ref.argmin)
+
+    def test_large_window_is_exact(self):
+        # K7 with 21 edges, beyond the brute-force cap: a point of the base
+        # polytope is tight on the whole edge set, whatever i and j.
+        m = divmax.GraphicMatroid(7, list(itertools.combinations(range(7), 2)))
+        x = np.full(m.n, 6 / 21)
+        res = divmax.slack_minimize(m, x, 0, None, range(m.n))
+        assert res.min_slack == pytest.approx(0.0, abs=1e-12)
+        assert res.argmin == frozenset(range(m.n))
+        res = divmax.slack_minimize(m, x, 0, 20, range(m.n))
+        # With edge 20 = (5, 6) excluded, the best T is K7 minus that edge:
+        # slack 6 - 20 * 6/21 = 6/21.
+        assert res.min_slack == pytest.approx(6 / 21)
+        assert res.argmin == frozenset(range(20))
 
 
 class TestMaxFeasibleStep:
