@@ -10,14 +10,23 @@ independently, retry until the draw fits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
+from math import comb
 
 import numpy as np
 
 from .errors import InvalidInputError, RetryLimitError
 from .geometry import DistanceMatrix
-from .matroids import Matroid, PartitionMatroid, greedy_basis_lmo
+from .matroids import Matroid, PartitionMatroid, UniformMatroid, greedy_basis_lmo
+from .relaxation import _score_vector
 
 BRUTE_FORCE_MAX_N = 20
+# Bases scored per batch by brute_force_opt: one batch gathers
+# _BATCH * k * k distances, under 7 MB at k = 10.
+_BATCH = 8192
+# Values within this fraction of the best count as ties of it in both
+# baselines, so that summation order cannot pick the winner.
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -33,47 +42,133 @@ class LocalSearchResult:
     swaps: int
 
 
+def _batches(rows, k: int):
+    """Stream k-tuples as integer arrays of at most _BATCH rows."""
+    flat = chain.from_iterable(rows)
+    while True:
+        batch = np.fromiter(islice(flat, _BATCH * k), dtype=np.intp).reshape(-1, k)
+        if not len(batch):
+            return
+        yield batch
+
+
+def _partition_bases(m: PartitionMatroid) -> np.ndarray:
+    """Every basis of a partition matroid, one sorted row each, in lexicographic order.
+
+    A basis takes exactly cap(b) elements of each block b, so the bases are
+    the product of the per-block combinations.  Rows are int8 (n <= 20), so
+    even C(20, 10) bases take under 2 MB.
+    """
+    per_block = [
+        np.fromiter(chain.from_iterable(combinations(b, c)), dtype=np.int8).reshape(comb(len(b), c), c)
+        for b, c in zip(m.blocks, m.capacities)
+    ]
+    picks = np.indices([len(p) for p in per_block]).reshape(len(per_block), -1)
+    bases = np.sort(np.hstack([p[i] for p, i in zip(per_block, picks)]), axis=1)
+    return bases[np.lexsort(bases.T[::-1])]
+
+
+def _dfs_bases(m: Matroid, k: int):
+    """Bases of any matroid in lexicographic order, by rank-oracle DFS.
+
+    The DFS extends an independent set by increasing elements and leaves a
+    branch once the elements still available cannot raise it to rank k:
+    if S + e is independent and r(S | {e, ..., n-1}) = k, augmentation
+    extends S + e to a basis, so every branch taken ends in one.
+    """
+    n = m.n
+    current: list[int] = []
+
+    def visit(start: int):
+        if len(current) == k:
+            yield tuple(current)
+            return
+        for e in range(start, n):
+            if m.rank(current + list(range(e, n))) < k:
+                return
+            current.append(e)
+            if m.rank(current) == len(current):
+                yield from visit(e + 1)
+            current.pop()
+
+    return visit(0)
+
+
+def _bases(m: Matroid, k: int):
+    """Bases of m in lexicographic order, in batches of at most _BATCH rows."""
+    if isinstance(m, UniformMatroid):
+        return _batches(combinations(range(m.n), k), k)
+    if isinstance(m, PartitionMatroid):
+        bases = _partition_bases(m)
+        return (bases[s:s + _BATCH] for s in range(0, len(bases), _BATCH))
+    return _batches(_dfs_bases(m, k), k)
+
+
 def brute_force_opt(dm: DistanceMatrix, m: Matroid, w=None) -> SubsetResult:
     """Exhaustive maximum of the dispersion over all independent sets.
 
-    DFS over index-increasing extensions visits every independent set once,
-    in lexicographic order of the sorted element tuple; keeping strict
-    improvements only therefore returns the lexicographically smallest
-    maximizer.  The empty set (value 0) is always a candidate.
+    Only bases are enumerated: with D >= 0 and w >= 0 adding an element
+    never lowers the value, and every independent set lies in a basis, so
+    some basis is optimal.  (The same monotonicity lets the relaxation solve
+    the top slice alone.)  Uniform bases come from `combinations`, partition
+    bases from the product of per-block combinations, and other kinds from
+    a rank-oracle DFS that only enters branches ending in a basis.  The
+    bases are scored in batches of at most _BATCH, as
+    D[X, X].sum() + w[X].sum() per row, so memory does not grow with their
+    number.  The result is the first basis in lexicographic order whose
+    value is at least max - 1e-12 * |max|; the relative tie rule keeps
+    one-ulp differences of summation order from choosing the basis.
     """
     n = m.n
     if dm.n != n:
         raise InvalidInputError(f"distance has n={dm.n} but matroid has n={n}")
     if n > BRUTE_FORCE_MAX_N:
         raise InvalidInputError(f"brute force supports n <= {BRUTE_FORCE_MAX_N}, got {n}")
+    w_vec = _score_vector(w, n)
+    k = m.full_rank
+    if k == 0:
+        return SubsetResult(elements=(), value=0.0)
     d = dm.d
-    w_vec = np.zeros(n) if w is None else np.asarray(w, dtype=float)
-    if w_vec.shape != (n,):
-        raise InvalidInputError(f"w must have shape ({n},), got {w_vec.shape}")
 
-    best_val = 0.0
-    best_set: tuple = ()
-    acc = np.zeros(n)  # acc[e] = sum of d[e, s] over s in the current set
-    current: list[int] = []
+    # Running maximum `top` and the prefix-maximum records within the tie
+    # window of it; the first basis reaching the final window is a record.
+    top = -np.inf
+    kept_vals = np.empty(0)
+    kept = np.empty((0, k), dtype=np.intp)
+    for bases in _bases(m, k):
+        vals = d[bases[:, :, None], bases[:, None, :]].sum(axis=(1, 2)) + w_vec[bases].sum(axis=1)
+        running = np.maximum.accumulate(np.concatenate(([top], vals)))
+        record = vals > running[:-1]
+        top = running[-1]
+        kept_vals = np.concatenate((kept_vals, vals[record]))
+        kept = np.concatenate((kept, bases[record]))
+        close = kept_vals >= top - _TIE_RTOL * abs(top)
+        kept_vals, kept = kept_vals[close], kept[close]
+    return SubsetResult(elements=tuple(int(e) for e in kept[0]), value=float(kept_vals[0]))
 
-    def visit(start: int, val: float):
-        nonlocal best_val, best_set, acc
-        for e in range(start, n):
-            cand = current + [e]
-            if m.rank(cand) != len(cand):
-                continue
-            new_val = val + 2.0 * acc[e] + w_vec[e]
-            current.append(e)
-            if new_val > best_val:
-                best_val = new_val
-                best_set = tuple(current)
-            acc += d[e]
-            visit(e + 1, new_val)
-            acc -= d[e]
-            current.pop()
 
-    visit(0, 0.0)
-    return SubsetResult(elements=best_set, value=float(best_val))
+def _feasible_swaps(m: Matroid, inside: np.ndarray, outside: np.ndarray):
+    """Mask of the swaps B - a + b that give a basis: rows a in B, columns b not.
+
+    None means every swap is feasible (uniform).  Partition swaps are
+    decided by block counts: b joins a's block or a block with spare
+    capacity in B.  Other kinds ask the rank oracle once per swap.
+    """
+    if isinstance(m, UniformMatroid):
+        return None
+    if isinstance(m, PartitionMatroid):
+        block_in, block_out = m.block_of[inside], m.block_of[outside]
+        spare = np.bincount(block_in, minlength=len(m.blocks)) < np.asarray(m.capacities)
+        return (block_in[:, None] == block_out) | spare[block_out]
+    k = len(inside)
+    members = inside.tolist()
+    return np.array(
+        [
+            [m.rank(members[:r] + members[r + 1:] + [b]) == k for b in outside.tolist()]
+            for r in range(k)
+        ],
+        dtype=bool,
+    ).reshape(k, len(outside))
 
 
 def local_search_half(
@@ -86,10 +181,14 @@ def local_search_half(
 ) -> LocalSearchResult:
     """Best-improvement single-swap local search over bases.
 
-    From a basis B, evaluate every feasible swap B - a + b and apply the one
-    with the largest strict improvement (ties: lexicographic on (a, b)).
-    Swaps on a partition matroid are checked by block counts, on other
-    kinds by the rank oracle.
+    The 1/2-approximation of Borodin, Lee & Ye (PODS 2012).  Each sweep
+    keeps S = D[:, B].sum(1) and scores every swap B - a + b at once as
+    the k x (n-k) gain matrix G[a, b] = 2 (S[b] - D[a, b] - S[a]) + w_b - w_a,
+    with infeasible swaps at -inf: O(n k) array work per sweep, plus
+    k (n-k) rank calls for kinds other than uniform and partition.  The
+    search stops unless max G > 1e-12 |g(B)|, and otherwise applies the
+    first (a, b) in row-major order with G >= max G - 1e-12 |g(B)|.  The
+    relative rule makes the path independent of the scale of D and w.
     Terminates at a local optimum; offered as an empirical comparison
     baseline for the relax-and-round pipeline.
     """
@@ -98,54 +197,41 @@ def local_search_half(
         raise InvalidInputError(f"distance has n={dm.n} but matroid has n={n}")
     k = m.full_rank
     d = dm.d
-    w_vec = np.zeros(n) if w is None else np.asarray(w, dtype=float)
-    if w_vec.shape != (n,):
-        raise InvalidInputError(f"w must have shape ({n},), got {w_vec.shape}")
+    w_vec = _score_vector(w, n)
+    in_basis = np.zeros(n, dtype=bool)
     if seed_basis is None:
-        basis = set(int(e) for e in np.nonzero(greedy_basis_lmo(m, k, np.zeros(n)))[0]) if k else set()
+        if k:
+            in_basis = greedy_basis_lmo(m, k, np.zeros(n)) > 0
     else:
         basis = set(int(e) for e in seed_basis)
         if len(basis) != k or not m.is_independent(basis):
             raise InvalidInputError("seed must be a basis of the matroid")
+        in_basis[list(basis)] = True
 
-    def value_of(s):
-        idx = sorted(s)
-        return float(d[np.ix_(idx, idx)].sum() + w_vec[idx].sum())
-
-    partition = isinstance(m, PartitionMatroid)
-    if partition:
-        block_of = m.block_of.tolist()
-    val = value_of(basis)
     swaps = 0
     while max_sweeps is None or swaps < max_sweeps:
-        best_gain = 0.0
-        best_swap = None
-        outside = [e for e in range(n) if e not in basis]
-        if partition:
-            counts = np.bincount(m.block_of[sorted(basis)], minlength=len(m.blocks))
-            spare = (counts < np.asarray(m.capacities)).tolist()
-        for a in sorted(basis):
-            inside = [e for e in basis if e != a]
-            base_drop = 2.0 * float(d[a, inside].sum()) + w_vec[a]
-            for b in outside:
-                if partition:
-                    # B - a + b is a basis iff b joins a's block or a block
-                    # with spare capacity in B.
-                    if block_of[b] != block_of[a] and not spare[block_of[b]]:
-                        continue
-                elif m.rank(inside + [b]) != k:
-                    continue
-                gain = 2.0 * float(d[b, inside].sum()) + w_vec[b] - base_drop
-                if gain > best_gain + 1e-12 * abs(val):
-                    best_gain = gain
-                    best_swap = (a, b)
-        if best_swap is None:
+        inside, outside = np.flatnonzero(in_basis), np.flatnonzero(~in_basis)
+        s = d[:, inside].sum(axis=1)
+        gain = (
+            2.0 * (s[outside] - d[np.ix_(inside, outside)] - s[inside, None])
+            + w_vec[outside] - w_vec[inside, None]
+        )
+        feasible = _feasible_swaps(m, inside, outside)
+        if feasible is not None:
+            gain[~feasible] = -np.inf
+        if not gain.size:
             break
-        basis.discard(best_swap[0])
-        basis.add(best_swap[1])
-        val += best_gain
+        best = gain.max()
+        tol = _TIE_RTOL * abs(float(s[inside].sum() + w_vec[inside].sum()))
+        if not best > tol:
+            break
+        a, b = np.unravel_index(np.argmax(gain >= best - tol), gain.shape)
+        in_basis[inside[a]] = False
+        in_basis[outside[b]] = True
         swaps += 1
-    return LocalSearchResult(elements=tuple(sorted(basis)), value=value_of(basis), swaps=swaps)
+    idx = np.flatnonzero(in_basis)
+    value = float(d[np.ix_(idx, idx)].sum() + w_vec[idx].sum())
+    return LocalSearchResult(elements=tuple(int(e) for e in idx), value=value, swaps=swaps)
 
 
 def draw_subset(y, rng: np.random.Generator) -> tuple:

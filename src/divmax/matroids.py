@@ -642,8 +642,10 @@ def lift_to_base(m: Matroid, x) -> np.ndarray:
 def polytope_min_slack(m: Matroid, x) -> float:
     """Global minimum of r(S) - x(S) over nonempty S; >= 0 iff x(S) <= r(S) all S.
 
-    Closed forms for uniform/partition; brute force otherwise (n <= W_MAX).
-    Combine with x >= 0 to get full membership in P(M).
+    Closed forms for uniform/partition; for graphic matroids the minimum
+    over i of the minimum-cut slack search over sets containing i, for any
+    n; brute force otherwise (n <= W_MAX).  Combine with x >= 0 to get full
+    membership in P(M).
     """
     x = np.asarray(x, dtype=float)
     if isinstance(m, UniformMatroid):
@@ -673,6 +675,8 @@ def polytope_min_slack(m: Matroid, x) -> float:
         if negative < 0:
             return float(negative)
         return float(min(block_mins))
+    if isinstance(m, GraphicMatroid):
+        return min(slack_minimize(m, x, i, None, range(m.n)).min_slack for i in range(m.n))
     if m.n > W_MAX:
         raise InvalidInputError(f"global slack scan needs n <= {W_MAX} for kind {m.kind!r}")
     best = None

@@ -95,12 +95,50 @@ def assert_matches_eigh_reference(dm):
         assert cert.witness_value == pytest.approx(float(witness @ dm.d @ witness))
 
 
+def reference_brute_force_opt(dm, m, w=None):
+    """Exhaustive maximum by DFS over every independent set.
+
+    The search `divmax.brute_force_opt` ran before it enumerated bases
+    only: index-increasing extensions visit every independent set once, in
+    lexicographic order, with one rank call per extension tried; strict
+    improvements only, so the lexicographically smallest maximizer wins and
+    the empty set (value 0) is a candidate.  Returns (elements, value).
+    """
+    n, d = m.n, dm.d
+    w_vec = np.zeros(n) if w is None else np.asarray(w, dtype=float)
+    best_val = 0.0
+    best_set: tuple = ()
+    acc = np.zeros(n)  # acc[e] = sum of d[e, s] over s in the current set
+    current: list[int] = []
+
+    def visit(start: int, val: float):
+        nonlocal best_val, best_set, acc
+        for e in range(start, n):
+            cand = current + [e]
+            if m.rank(cand) != len(cand):
+                continue
+            new_val = val + 2.0 * acc[e] + w_vec[e]
+            current.append(e)
+            if new_val > best_val:
+                best_val = new_val
+                best_set = tuple(current)
+            acc += d[e]
+            visit(e + 1, new_val)
+            acc -= d[e]
+            current.pop()
+
+    visit(0, 0.0)
+    return best_set, float(best_val)
+
+
 def reference_local_search(dm, m, w=None):
     """Swap local search checking each candidate swap with the rank oracle.
 
     The loop `divmax.local_search_half` ran for every matroid kind before
-    partition swaps were checked by block counts; same candidate order and
-    improvement threshold.  Returns (elements, value, swaps).
+    partition swaps were checked by block counts and before all swaps were
+    scored at once as a gain matrix: one swap at a time, row-major over
+    (a in B, b not in B), kept on a strict improvement by more than
+    1e-12 |value|.  Returns (elements, value, swaps).
     """
     n, k, d = m.n, m.full_rank, dm.d
     w_vec = np.zeros(n) if w is None else np.asarray(w, dtype=float)
@@ -133,6 +171,21 @@ def reference_local_search(dm, m, w=None):
         val += best_gain
         swaps += 1
     return tuple(sorted(basis)), value_of(basis), swaps
+
+
+class RankOnly(divmax.Matroid):
+    """A matroid seen only through its rank oracle, with rank calls counted."""
+
+    kind = "rank_only"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+        self.calls = 0
+
+    def rank(self, subset):
+        self.calls += 1
+        return self.inner.rank(subset)
 
 
 def random_matroid(seed: int, n: int):

@@ -105,7 +105,27 @@ class TestSolve:
             "has_scores": False,
         }
         assert "slices" not in report
-        assert set(report["timings"]) == {"certify_s", "relax_s", "round_s", "baselines_s", "total_s"}
+        timings = report["timings"]
+        assert set(timings) == {
+            "certify_s", "relax_s", "round_s", "local_search_s", "exact_s", "baselines_s", "total_s",
+        }
+        assert timings["exact_s"] > 0.0
+        # Report floats carry 12 significant digits.
+        assert timings["baselines_s"] == pytest.approx(
+            timings["local_search_s"] + timings["exact_s"], rel=1e-11
+        )
+
+    def test_exact_timing_zero_beyond_brute_force_size(self, capsys, tmp_path):
+        doc = divmax.gen_random_points(divmax.BRUTE_FORCE_MAX_N + 1, 2, "l2", 0, k=2)
+        path = tmp_path / "big.json"
+        path.write_text(doc_to_json(doc))
+        code, out, _ = run(capsys, "solve", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["baselines"]["exact"] is None
+        timings = report["timings"]
+        assert timings["exact_s"] == 0.0
+        assert timings["baselines_s"] == timings["local_search_s"]
 
     @pytest.mark.parametrize("dropped", [3, 0])
     def test_graphic_k7_all_ones(self, capsys, tmp_path, dropped):

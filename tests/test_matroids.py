@@ -9,7 +9,7 @@ import divmax
 from divmax.errors import InvalidInputError
 from divmax.matroids import W_MAX, _slack_brute, validate_rank_table
 
-from conftest import enumerate_independent, random_base_point, random_matroid
+from conftest import RankOnly, enumerate_independent, random_base_point, random_matroid
 
 
 def brute_slack(m, x, i, j, window, prefix=frozenset()):
@@ -401,6 +401,29 @@ class TestPolytopeMembership:
         fast = divmax.polytope_min_slack(m, x)
         brute = divmax.polytope_min_slack(ex, x)
         assert fast == pytest.approx(brute, abs=1e-12)
+
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_graphic_matches_subset_scan(self, seed):
+        # Multigraphs with loops and parallel edges, at most 14 edges; the
+        # same rank function seen only through its oracle is scanned subset
+        # by subset.
+        m, x, *_ = random_graphic_window(seed)
+        x = x * (1.0 + seed % 3 / 2.0)
+        fast = divmax.polytope_min_slack(m, x)
+        brute = divmax.polytope_min_slack(RankOnly(m), x)
+        assert fast == pytest.approx(brute, abs=1e-12 * (1 + m.full_rank))
+
+    def test_graphic_beyond_scan_size(self):
+        # K7 has 21 edges, past the subset scan; the relaxation of an
+        # all-ones K7 instance lies in the base polytope, and a point
+        # slightly above it does not.
+        m = divmax.GraphicMatroid(7, list(itertools.combinations(range(7), 2)))
+        dm = divmax.DistanceMatrix(np.ones((m.n, m.n)) - np.eye(m.n))
+        x_star = divmax.sweep_slices(dm, m).best.point.x
+        assert divmax.polytope_min_slack(m, x_star) == pytest.approx(0.0, abs=1e-9)
+        assert divmax.in_polytope(m, x_star)
+        assert not divmax.in_polytope(m, 1.001 * x_star)
 
 
 class TestFractionalPoint:
