@@ -364,6 +364,14 @@ def schoenberg_form(dm: DistanceMatrix, base_point: int = 0) -> SchoenbergForm:
     return SchoenbergForm(q=q, c=c, base_point=base_point)
 
 
+def _inf_norm(a: np.ndarray) -> float:
+    """||a||_inf, the largest absolute row sum, one block of rows at a time."""
+    step = _block_rows(a.shape[1], 1)
+    return max(
+        float(np.abs(a[r0 : r0 + step]).sum(axis=1).max()) for r0 in range(0, a.shape[0], step)
+    )
+
+
 def certify_negative_type(dm: DistanceMatrix) -> NegTypeCertificate:
     """Spectral test: D is of negative type iff Q is PSD.
 
@@ -377,7 +385,7 @@ def certify_negative_type(dm: DistanceMatrix) -> NegTypeCertificate:
     assembled.
     """
     form = schoenberg_form(dm, 0)
-    tau = PSD_TOL_SCALE * float(np.abs(form.q).sum(axis=1).max())
+    tau = PSD_TOL_SCALE * _inf_norm(form.q)
     sub = form.q[1:, 1:]
     min_eig = float(np.linalg.eigvalsh(sub)[0])
     if min_eig >= -tau:

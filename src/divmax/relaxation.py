@@ -2,9 +2,14 @@
 
 For a negative-type distance matrix D the dispersion g(x) = x @ D @ x + w @ x
 is concave on each slice {x in P(M) : sum(x) == alpha} (the base polytope of
-the rank-alpha truncation).  A slice program is solved with an away-step
-conditional-gradient method whose linear subproblems are exact greedy basis
-computations, so every iterate is an explicit convex combination of slice
+the rank-alpha truncation).  Every slice vertex has mass alpha, so by the
+Schoenberg form x @ D @ x = 2 * alpha * (c @ x) - 2 * (x @ Q @ x) there: a
+concave quadratic, and the slice program is a nearest-point problem in the
+negative-type embedding plus a linear term.  It is solved by Wolfe's
+nearest-point method, a fully-corrective conditional-gradient loop: the
+linear subproblems are exact greedy basis computations, and after each one
+the objective is maximized exactly over the convex hull of the active
+vertices.  Every iterate is an explicit convex combination of slice
 vertices and therefore feasible to machine precision.
 
 The slice `gap` is a first-order optimality certificate: for concave g, max
@@ -30,12 +35,19 @@ from .matroids import FractionalPoint, Matroid, greedy_basis_lmo
 GAP_TOL_DEFAULT = 1e-6
 # Iteration cap scale: max_iters defaults to ITER_CAP_SCALE * n * alpha.
 ITER_CAP_SCALE = 50
-_WEIGHT_FLOOR = 1e-14
+# Inside the loop the oracle sees the gradient rounded to this fraction of
+# its largest entry; see `_snap`.
+_TIE_GRID = 2.0**-40
 
 
 @dataclass(frozen=True)
 class SliceSolution:
-    """Solver output for one slice: iterate, value, and gap certificate."""
+    """Solver output for one slice: iterate, value, and gap certificate.
+
+    `iterations` counts outer iterations (one LMO call and one face solve
+    each), `value_trace` holds the value before the first and after each,
+    and `max_active` is the peak number of active vertices.
+    """
 
     alpha: int
     point: FractionalPoint
@@ -45,6 +57,7 @@ class SliceSolution:
     iterations: int
     converged: bool
     value_trace: tuple
+    max_active: int
 
 
 @dataclass(frozen=True)
@@ -80,25 +93,59 @@ def _require_certified(dm, certificate, force):
     return certificate
 
 
-class _ActiveSet:
-    """Slice vertices with positive weight, stored as growable arrays.
+def _snap(grad: np.ndarray) -> np.ndarray:
+    """grad rounded to multiples of _TIE_GRID * max|grad|.
 
-    Row r holds a vertex's support (alpha sorted indices), its cached D @ v
-    and its weight; a dict maps each support to its row, so a vertex the
-    oracle returns again is found again.  Rows keep insertion order.
+    A face solve leaves coordinates that its vertices swap with equal
+    gradients in exact arithmetic.  Rounding makes them tie in floating
+    point too, so the greedy oracle's rule (lower index first) picks
+    between them, not the last bit of the sums, and (c * D, c * w) takes
+    the path of (D, w).
+    """
+    scale = float(np.abs(grad).max())
+    return np.round(grad * (1.0 / (_TIE_GRID * scale))) if scale > 0.0 else grad
+
+
+def _sum_zero_basis(size: int) -> np.ndarray:
+    """Orthonormal basis of {y : sum(y) == 0} in R^size, as columns (size >= 2).
+
+    The columns are those of the Householder reflection that swaps e_0 and
+    the unit all-equal vector, apart from the first.
+    """
+    u = np.full(size, 1.0 / np.sqrt(size))
+    u[0] -= 1.0
+    reflection = np.eye(size) - (2.0 / (u @ u)) * np.outer(u, u)
+    return reflection[:, 1:]
+
+
+class _ActiveSet:
+    """Active slice vertices, their weights and their Gram matrix, in growable arrays.
+
+    Row r holds a vertex's support (alpha sorted indices), its cached D @ v,
+    its score w @ v and its weight lam[r]; gram[r, s] = v_r @ D @ v_s.  With
+    x = sum_r lam[r] v_r the objective is lam @ gram @ lam + score @ lam.  A
+    dict maps each support to its row, so a vertex the oracle returns again
+    is found again.  Rows keep insertion order.
     """
 
-    def __init__(self, d: np.ndarray, alpha: int):
+    def __init__(self, d: np.ndarray, w: np.ndarray, alpha: int):
         self._d = d
+        self._w = w
         self._n = d.shape[0]
         self.size = 0
         self.supports = np.empty((16, alpha), dtype=np.intp)
         self.dv = np.empty((16, self._n))
+        self.score = np.empty(16)
         self.lam = np.zeros(16)
+        self.gram = np.empty((16, 16))
         self._rows: dict = {}
 
     def find_or_add(self, support: np.ndarray) -> int:
-        """Row of the vertex with this support, added with weight 0 if new."""
+        """Row of the vertex with this support, added with weight 0 if new.
+
+        A new vertex costs O(n * alpha) for D @ v, a sum of alpha rows of D,
+        and O(size * alpha) for its row of the Gram matrix.
+        """
         row = self._rows.get(support.tobytes())
         if row is not None:
             return row
@@ -106,53 +153,92 @@ class _ActiveSet:
         if row == len(self.lam):
             self.supports = np.concatenate([self.supports, np.empty_like(self.supports)])
             self.dv = np.concatenate([self.dv, np.empty_like(self.dv)])
+            self.score = np.concatenate([self.score, np.empty_like(self.score)])
             self.lam = np.concatenate([self.lam, np.zeros_like(self.lam)])
+            gram = np.empty((2 * row, 2 * row))
+            gram[:row, :row] = self.gram
+            self.gram = gram
         self.supports[row] = support
         self.dv[row] = self._d[support].sum(axis=0)  # D is symmetric
+        self.score[row] = self._w[support].sum()
         self.lam[row] = 0.0
-        self._rows[support.tobytes()] = row
         self.size += 1
+        products = self.dv[row][self.supports[: self.size]].sum(axis=1)
+        self.gram[row, : self.size] = products
+        self.gram[: self.size, row] = products
+        self._rows[support.tobytes()] = row
         return row
 
-    def away(self, grad: np.ndarray) -> tuple:
-        """Row and linearized value of the least active vertex (first on ties)."""
-        values = grad[self.supports[: self.size]].sum(axis=1)
-        row = int(np.argmin(values))
-        return row, float(values[row])
-
-    def vertex(self, row: int) -> np.ndarray:
-        v = np.zeros(self._n)
-        v[self.supports[row]] = 1.0
-        return v
+    def __contains__(self, support: np.ndarray) -> bool:
+        return support.tobytes() in self._rows
 
     def point(self) -> np.ndarray:
-        """The convex combination sum_r lam[r] * v_r."""
+        """The convex combination x = sum_r lam[r] * v_r."""
         alpha = self.supports.shape[1]
         live = self.supports[: self.size].ravel()
         weights = np.repeat(self.lam[: self.size], alpha)
         return np.bincount(live, weights=weights, minlength=self._n)
 
-    def step(self, row: int, gamma: float, away: bool) -> None:
-        """Shift weight gamma onto row (off it, for an away step) and renormalize.
+    def products(self) -> np.ndarray:
+        """D @ x = sum_r lam[r] * (D @ v_r), in O(size * n)."""
+        return self.lam[: self.size] @ self.dv[: self.size]
 
-        Rows whose weight falls to _WEIGHT_FLOOR are dropped; the rest keep
-        their order.
+    def maximize_face(self) -> None:
+        """Maximize the objective over the convex hull of the active vertices.
+
+        Wolfe's minor cycles.  On the affine hull {sum(lam) == 1} the
+        objective is a quadratic in lam that does not curve up (D is of
+        negative type); it is written in an orthonormal eigenbasis of its
+        curvature.  A direction whose computed curvature is not negative is
+        flat: the active vertices are affinely dependent in the
+        negative-type embedding, and the objective is linear along it (or,
+        for a forced uncertified D, curves up).  If the objective rises
+        along a flat direction, the weights move uphill along it until the
+        first one reaches 0.  Otherwise the maximizer on the hull is one
+        Newton step away; if its weights are all positive it is taken and
+        the cycle ends, else the weights move towards it until the first one
+        reaches 0.  The vertex whose weight reached 0 leaves and the hull is
+        solved again, so each pass but the last drops a vertex.  Unless the
+        objective is exactly level along a flat direction, the vertices left
+        are affinely independent: at most n of them.
         """
-        live = self.lam[: self.size]
-        if away:
-            live *= 1.0 + gamma
-            live[row] -= gamma
-        else:
-            live *= 1.0 - gamma
-            live[row] += gamma
-        keep = np.flatnonzero(live > _WEIGHT_FLOOR)
-        if len(keep) < self.size:
-            self.size = len(keep)
-            self.supports[: self.size] = self.supports[keep]
-            self.dv[: self.size] = self.dv[keep]
-            self.lam[: self.size] = self.lam[keep]
-            self._rows = {self.supports[r].tobytes(): r for r in range(self.size)}
-        self.lam[: self.size] /= self.lam[: self.size].sum()
+        while self.size > 1:
+            size = self.size
+            lam = self.lam[:size]
+            gram = self.gram[:size, :size]
+            basis = _sum_zero_basis(size)
+            curvature, vectors = np.linalg.eigh(basis.T @ gram @ basis)
+            directions = basis @ vectors
+            slopes = (2.0 * (gram @ lam) + self.score[:size]) @ directions
+            curved = curvature < 0.0
+            uphill = np.where(curved, 0.0, slopes)
+            if uphill.any():
+                step = directions @ uphill
+            else:
+                newton = np.divide(slopes, -2.0 * curvature, out=np.zeros(size - 1), where=curved)
+                step = directions @ newton
+                if (lam + step > 0.0).all():
+                    lam += step
+                    lam /= lam.sum()
+                    return
+            shrinking = np.flatnonzero(step < 0.0)
+            ratios = lam[shrinking] / -step[shrinking]
+            first = int(np.argmin(ratios))
+            lam += ratios[first] * step
+            lam[shrinking[first]] = 0.0
+            self._keep(np.flatnonzero(lam > 0.0))
+            self.lam[: self.size] /= self.lam[: self.size].sum()
+
+    def _keep(self, rows: np.ndarray) -> None:
+        """Keep only these rows, in the order given."""
+        size = len(rows)
+        self.supports[:size] = self.supports[rows]
+        self.dv[:size] = self.dv[rows]
+        self.score[:size] = self.score[rows]
+        self.lam[:size] = self.lam[rows]
+        self.gram[:size, :size] = self.gram[np.ix_(rows, rows)]
+        self.size = size
+        self._rows = {self.supports[r].tobytes(): r for r in range(size)}
 
 
 def solve_slice(
@@ -168,17 +254,20 @@ def solve_slice(
 ) -> SliceSolution:
     """Maximize x @ D @ x + w @ x over {x in P(M) : sum(x) == alpha}.
 
-    Away-step conditional gradient with exact line search (the objective is
-    an exactly-known quadratic along any segment).  Terminates once the
-    linearization gap drops to gap_tol * value (the value is >= 0, so the
-    rule does not change when D and w are scaled together), or at max_iters
-    (default ITER_CAP_SCALE * n * alpha).
+    Fully-corrective conditional gradient (Wolfe's method): each iteration
+    makes one greedy LMO call, adds the vertex it returns to the active set
+    and maximizes exactly over the convex hull of the active vertices (see
+    `_ActiveSet.maximize_face`).  Terminates once the linearization gap
+    drops to gap_tol * value (the value is >= 0, so the rule does not change
+    when D and w are scaled together), at max_iters (default
+    ITER_CAP_SCALE * n * alpha), or when an iteration neither raises the
+    value nor keeps a new vertex, which happens only at rounding level.
 
-    One iteration costs O(n * alpha + |active set| * alpha) plus one LMO
-    call: every slice vertex is a 0/1 vector with alpha ones, so D @ v is a
-    sum of alpha rows of D, cached once per active vertex, and D @ x is
-    carried along by the same convex steps as x.  No n x n product runs
-    inside the loop; the returned value and gap come from one exact D @ x.
+    One iteration costs O(n * alpha) for the new vertex's D @ v, a sum of
+    alpha rows of D, O(size * alpha) for its Gram row, O(size * n) for
+    D @ x, and O(size^3) per face solve, with size <= n + 1 active
+    vertices, plus one LMO call.  No n x n product runs inside the loop; the
+    returned value and gap come from one exact D @ x.
     """
     if dm.n != m.n:
         raise InvalidInputError(f"distance has n={dm.n} but matroid has n={m.n}")
@@ -195,65 +284,44 @@ def solve_slice(
     # Warm start: greedy basis under the linear part of the objective, with
     # D written as d(i,j) = c[i] + c[j] - 2 Q[i,j] around element 0 (c = D[0]).
     x = greedy_basis_lmo(m, alpha, 2.0 * alpha * d[0] + w_vec)
-    active = _ActiveSet(d, alpha)
+    active = _ActiveSet(d, w_vec, alpha)
     row = active.find_or_add(np.flatnonzero(x))
     active.lam[row] = 1.0
     dx = active.dv[row].copy()
     value = float(x @ dx + w_vec @ x)
     trace = [value]
+    max_active = 1
     converged = False
     iterations = 0
 
     for iterations in range(max_iters + 1):
         grad = 2.0 * dx + w_vec
-        v = greedy_basis_lmo(m, alpha, grad)
-        grad_x = float(grad @ x)
-        gap = float(grad @ v) - grad_x
+        v = greedy_basis_lmo(m, alpha, _snap(grad))
+        gap = float(grad @ v) - float(grad @ x)
         if gap <= gap_tol * value:
             converged = True
             break
         if iterations == max_iters:
             break
-
-        away, grad_a = active.away(grad)
-        lam_a = float(active.lam[away])
-        gap_away = grad_x - grad_a
-
-        if gap >= gap_away or lam_a >= 1.0:
-            row = active.find_or_add(np.flatnonzero(v))
-            direction = v - x
-            d_direction = active.dv[row] - dx
-            slope = gap
-            gamma_max = 1.0
-            is_away = False
-        else:
-            row = away
-            direction = x - active.vertex(away)
-            d_direction = dx - active.dv[away]
-            slope = gap_away
-            gamma_max = lam_a / (1.0 - lam_a)
-            is_away = True
-
-        # The objective along the segment is value + slope*g + curv*g^2 with
-        # curv <= 0 on the slice.  Comparing the unclipped maximizer with
-        # gamma_max by multiplication keeps this test free of any absolute
-        # cut-off, so it reads the same at every scale of D and w.
-        curv = float(direction @ d_direction)
-        if -2.0 * curv * gamma_max > slope:
-            gamma = slope / (-2.0 * curv)
-        else:
-            gamma = gamma_max
-        if gamma <= 0.0:
-            converged = True
+        # A vertex that is already active means the last face solve left a
+        # gap at rounding level; the face is solved again from the current
+        # weights.  An iteration that neither raises the value nor keeps a
+        # new vertex leaves the state as it was, and the next would repeat it.
+        support = np.flatnonzero(v)
+        entered = support not in active
+        active.find_or_add(support)
+        max_active = max(max_active, active.size)
+        active.maximize_face()
+        x = active.point()
+        dx = active.products()
+        new_value = float(x @ dx + w_vec @ x)
+        if new_value <= value and not (entered and support in active):
             break
-
-        active.step(row, gamma, is_away)
-        x = x + gamma * direction
-        dx = dx + gamma * d_direction
-        value = float(x @ dx + w_vec @ x)
+        value = new_value
         trace.append(value)
 
-    # Exact certificate: upper_bound must not rest on the carried x and D @ x.
+    # Exact certificate: upper_bound must not rest on D @ x summed from the
+    # cached vertex products.
     x = active.point()
     dx = d @ x
     value = float(x @ dx + w_vec @ x)
@@ -269,6 +337,7 @@ def solve_slice(
         iterations=iterations,
         converged=converged,
         value_trace=tuple(trace),
+        max_active=max_active,
     )
 
 
@@ -301,6 +370,7 @@ def sweep_slices(
             iterations=0,
             converged=True,
             value_trace=(0.0,),
+            max_active=0,
         )
         return RelaxationResult(best=zero, opt_upper_bound=0.0)
     best = solve_slice(

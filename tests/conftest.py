@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import divmax
-from divmax.relaxation import _WEIGHT_FLOOR, ITER_CAP_SCALE
+from divmax.relaxation import ITER_CAP_SCALE
+
+# Weights at or below this leave the active set of `reference_solve_slice`.
+_WEIGHT_FLOOR = 1e-14
 
 
 def random_certified(seed: int, n: int, kind: str = "l2", dim: int = 3):
@@ -225,13 +228,15 @@ def random_base_point(m, seed: int) -> np.ndarray:
 
 
 def reference_solve_slice(dm, m, alpha, w=None, *, gap_tol=1e-6, max_iters=None):
-    """Dense reference for `divmax.solve_slice`, with the same iterates and step rule.
+    """Away-step Frank-Wolfe on the slice, an independent oracle for `divmax.solve_slice`.
 
-    Each iteration forms D @ x, the curvature and the value with n x n
-    products, and keeps the active set as a dict keyed by the vertex bytes;
-    the away vertex is the first minimizer in insertion order.  Returns
-    (x, value, gap, iterations, converged), with value and gap taken at the
-    final x.
+    The loop `divmax.solve_slice` ran before it became fully corrective,
+    in its dense form: each iteration forms D @ x, the curvature and the
+    value with n x n products, takes a forward or an away step with exact
+    line search, and keeps the active set as a dict keyed by the vertex
+    bytes; the away vertex is the first minimizer in insertion order, and
+    weights at or below _WEIGHT_FLOOR are dropped.  Returns (x, value, gap,
+    iterations, converged), with value and gap taken at the final x.
     """
     d = dm.d
     n = dm.n

@@ -39,6 +39,14 @@ class TestDistanceMatrix:
         with pytest.raises(InvalidInputError):
             divmax.DistanceMatrix(bad)
 
+    def test_caller_array_is_copied_and_stays_writable(self):
+        d = np.array([[0.0, 2.0], [2.0, 0.0]])
+        dm = divmax.DistanceMatrix(d)
+        assert d.flags.writeable
+        assert not np.shares_memory(d, dm.d)
+        d[0, 1] = 7.0
+        assert dm.d[0, 1] == 2.0
+
 
 class TestBuildDistance:
     def test_collinear_l2(self):
@@ -201,6 +209,12 @@ class TestMemoryBound:
         n = 1000
         dm = divmax.build_distance(np.random.default_rng(1).standard_normal((n, 8)), "l2")
         assert _traced_peak_units(lambda: divmax.certify_negative_type(dm), n) < 3.0
+
+    def test_certify_takes_norm_in_row_blocks(self):
+        # ||Q||_inf comes from row blocks of |Q|, not from an n x n copy.
+        n = 1000
+        dm = divmax.build_distance(np.random.default_rng(1).standard_normal((n, 8)), "l2")
+        assert _traced_peak_units(lambda: divmax.certify_negative_type(dm), n) <= 1.25
 
 
 class TestMetric:

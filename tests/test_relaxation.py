@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import divmax
+from divmax import relaxation
 from divmax.errors import CertificationError, InvalidInputError
 
 from conftest import (
@@ -14,6 +15,10 @@ from conftest import (
     random_matroid,
     reference_solve_slice,
 )
+
+# value + gap of `reference_solve_slice` (away-step Frank-Wolfe) on
+# gen_random_points(300, 8, "cosine", 5, k=20) at the default gap tolerance.
+AWAY_STEP_BOUND_N300 = 627.756647908384
 
 
 def brute_opt_value(dm, m, w=None):
@@ -76,6 +81,18 @@ class TestSolveSlice:
             x = np.zeros(7)
             x[list(s)] = 1.0
             assert sol.upper_bound >= float(x @ dm.d @ x) - 1e-9
+
+    def test_stops_at_rounding_level(self):
+        # With gap_tol = 0 the stopping rule cannot fire.  The loop still ends
+        # once an iteration changes nothing (here, max_iters would be 15,000),
+        # and no earlier than rounding level.
+        sol = divmax.solve_slice(random_certified(40, 20, "l1"), divmax.UniformMatroid(20, 15), 15,
+                                 gap_tol=0.0)
+        assert sol.iterations < 200
+        assert sol.gap <= 1e-12 * sol.value
+        dm, m, w = divmax.materialize(divmax.gen_random_points(60, 5, "cosine", 1, k=6))
+        sol = divmax.solve_slice(dm, m, 6, w, gap_tol=1e-16)
+        assert sol.gap <= 1e-12 * sol.value
 
     def test_alpha_validation(self):
         dm = random_certified(0, 4)
@@ -154,63 +171,96 @@ _ORACLE_GRID = list(
 
 
 class TestSolveSliceCost:
-    # Exact line search along a swap direction leaves the two swapped
-    # coordinates with equal gradients in exact arithmetic.  When they meet
-    # at the greedy oracle's cut-off, the last bit of the gradient picks the
-    # vertex, and the carried and the dense D @ x may round apart.  Seeds
-    # 0-59 of this grid split that way once (jaccard/uniform, seed 18), so
-    # seeds 0-11 pin the path exactly and the split instance is held to the
-    # certified gap instead.
+    # The fully-corrective loop and the away-step oracle stop at different
+    # points of the slice; what they share is the certificate: each value lies
+    # within the other's bound, and both bounds dominate every basis.
     @pytest.mark.parametrize(
         "kind,matroid_kind,seed",
         [(kind, mk, i) for i, (kind, mk) in enumerate(_ORACLE_GRID)],
     )
     def test_matches_dense_reference(self, kind, matroid_kind, seed):
-        # Cached vertex products and the array active set leave the iterates
-        # and the step rule of the dense loop unchanged.
         dm, m, w = _oracle_instance(kind, matroid_kind, seed)
         k = m.full_rank
         sol = divmax.solve_slice(dm, m, k, w, gap_tol=1e-9)
-        x, value, gap, iterations, converged = reference_solve_slice(dm, m, k, w, gap_tol=1e-9)
-        assert sol.iterations == iterations
-        assert sol.converged == converged
-        assert sol.value == pytest.approx(value, rel=1e-9)
-        assert np.abs(sol.point.x - x).max() <= 1e-9
-        assert sol.gap == pytest.approx(gap, rel=1e-6, abs=1e-9 * value)
+        _, value, gap, _, _ = reference_solve_slice(dm, m, k, w, gap_tol=1e-9)
+        assert sol.converged
+        tol = 1e-12 * value
+        assert sol.value <= value + gap + tol
+        assert value <= sol.upper_bound + tol
         assert sol.upper_bound == sol.value + sol.gap
-        if m.n <= 10:
-            wv = np.zeros(m.n) if w is None else w
-            for s in enumerate_independent(m):
-                if len(s) == k:
-                    b = np.zeros(m.n)
-                    b[list(s)] = 1.0
-                    assert sol.upper_bound >= float(b @ dm.d @ b + wv @ b) * (1.0 - 1e-9)
+        assert sol.point.x.sum() == pytest.approx(k, abs=1e-9)
+        assert divmax.in_polytope(m, sol.point.x, tol=1e-9)
+        wv = np.zeros(m.n) if w is None else w
+        for s in enumerate_independent(m):
+            if len(s) == k:
+                b = np.zeros(m.n)
+                b[list(s)] = 1.0
+                assert sol.upper_bound >= float(b @ dm.d @ b + wv @ b) * (1.0 - 1e-9)
 
     def test_tie_split_agrees_within_gap(self):
         dm, m, w = _oracle_instance("jaccard", "uniform", 18)
         sol = divmax.solve_slice(dm, m, 4, w, gap_tol=1e-9)
-        x, value, gap, iterations, converged = reference_solve_slice(dm, m, 4, w, gap_tol=1e-9)
+        _, value, gap, _, converged = reference_solve_slice(dm, m, 4, w, gap_tol=1e-9)
         assert sol.converged and converged
-        assert abs(sol.iterations - iterations) <= 0.1 * iterations
         assert sol.value <= value + gap and value <= sol.upper_bound
 
+    def test_reverse_vertex_order_keeps_point_and_basis(self, monkeypatch):
+        # Jaccard seed 18 has exact gradient ties at the oracle's cut-off, and
+        # its Q is singular.  Solving every face with the active vertices in
+        # reverse insertion order changes every sum and tie order inside the
+        # face solve, yet the loop ends at the same point and basis.
+        dm, m, w = _oracle_instance("jaccard", "uniform", 18)
+        forward = divmax.solve_slice(dm, m, 4, w, gap_tol=1e-9)
+        maximize_face = relaxation._ActiveSet.maximize_face
+
+        def reversed_face(active):
+            active._keep(np.arange(active.size)[::-1])
+            maximize_face(active)
+            active._keep(np.arange(active.size)[::-1])
+
+        monkeypatch.setattr(relaxation._ActiveSet, "maximize_face", reversed_face)
+        backward = divmax.solve_slice(dm, m, 4, w, gap_tol=1e-9)
+        assert backward.iterations == forward.iterations
+        assert np.abs(backward.point.x - forward.point.x).max() <= 1e-9
+        assert (divmax.round(dm, m, backward.point.x, w).basis
+                == divmax.round(dm, m, forward.point.x, w).basis)
+
     def test_dense_products_do_not_grow_with_iterations(self):
-        # An iteration costs O(n * alpha); the only n x n product is the one
-        # exact D @ x behind the returned value and gap.
-        dm = random_certified(13, 40, "cosine", dim=6)
-        m = divmax.UniformMatroid(40, 6)
+        # An iteration costs O(n * alpha + size * n) plus the face solve; the
+        # only n x n product is the one exact D @ x behind the value and gap.
+        dm, m, _ = divmax.materialize(divmax.gen_random_points(120, 6, "cosine", 13, k=12))
         certificate = divmax.certify_negative_type(dm)
         counting = _counting_view(dm.d)
         object.__setattr__(dm, "d", counting)
         counts = {}
         for max_iters in (5, None):
             type(counting).products = 0
-            sol = divmax.solve_slice(dm, m, 6, max_iters=max_iters, certificate=certificate)
+            sol = divmax.solve_slice(dm, m, 12, max_iters=max_iters, certificate=certificate)
             counts[sol.iterations] = type(counting).products
         long_run = max(counts)
         assert long_run >= 50
         assert sorted(counts) == [5, long_run]
         assert counts[5] == counts[long_run] == 1
+
+    @pytest.mark.parametrize("n,dim,seed,k", [(120, 6, 13, 12), (300, 8, 5, 20)])
+    def test_active_set_within_caratheodory(self, n, dim, seed, k):
+        # The active vertices stay affinely independent, so there are at most
+        # n of them, plus the one an iteration adds before its face solve.
+        dm, m, _ = divmax.materialize(divmax.gen_random_points(n, dim, "cosine", seed, k=k))
+        sol = divmax.solve_slice(dm, m, k)
+        assert sol.converged
+        assert 2 <= sol.max_active <= n + 1
+
+    def test_cosine_iteration_count(self):
+        # Counts, not time: away-step Frank-Wolfe takes 20,516 iterations on
+        # this interior optimum.  AWAY_STEP_BOUND_N300 is the value + gap of
+        # `reference_solve_slice` at the default tolerance, which is too slow
+        # to run here.
+        dm, m, _ = divmax.materialize(divmax.gen_random_points(300, 8, "cosine", 5, k=20))
+        sol = divmax.solve_slice(dm, m, 20)
+        assert sol.converged
+        assert sol.iterations <= 300
+        assert sol.upper_bound <= AWAY_STEP_BOUND_N300
 
 
 class TestSweep:
