@@ -12,16 +12,13 @@ from .baselines import (
     LocalSearchResult,
     SubsetResult,
     brute_force_opt,
-    draw_subset,
     local_search_half,
-    randomized_round_cardinality,
 )
 from .errors import (
     CertificationError,
     DivmaxError,
     InternalInvariantError,
     InvalidInputError,
-    RetryLimitError,
 )
 from .geometry import (
     DISTANCE_KINDS,
@@ -61,10 +58,6 @@ from .matroids import (
     PartitionMatroid,
     UniformMatroid,
     greedy_basis_lmo,
-    in_polytope,
-    lift_to_base,
-    max_feasible_step,
-    polytope_min_slack,
     slack_minimize,
     validate_rank_table,
 )
@@ -101,7 +94,6 @@ __all__ = [
     "NegTypeCertificate",
     "PartitionMatroid",
     "RelaxationResult",
-    "RetryLimitError",
     "RoundResult",
     "RoundingTrace",
     "SchoenbergForm",
@@ -120,23 +112,17 @@ __all__ = [
     "dispersion",
     "doc_from_json",
     "doc_to_json",
-    "draw_subset",
     "gen_dks_reduction",
     "gen_integrality_gap",
     "gen_random_graph",
     "gen_random_points",
     "greedy_basis_lmo",
     "guarantee_factor",
-    "in_polytope",
     "integrality_gap_fractional_value",
     "integrality_gap_opt_value",
     "is_metric",
-    "lift_to_base",
     "local_search_half",
     "materialize",
-    "max_feasible_step",
-    "polytope_min_slack",
-    "randomized_round_cardinality",
     "round",
     "round_step",
     "schoenberg_form",

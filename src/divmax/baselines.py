@@ -1,10 +1,8 @@
-"""Reference solvers: exhaustive optimum, swap local search, random rounding.
+"""Reference solvers: exhaustive optimum and swap local search.
 
 The brute-force enumerator is the ground-truth oracle for small instances
 (n <= 20).  The local search is a comparison baseline: repeated best
-single-swap improvement over bases.  The randomized rounding applies only
-to cardinality (uniform matroid) constraints: scale down, draw elements
-independently, retry until the draw fits.
+single-swap improvement over bases.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import InvalidInputError, RetryLimitError
+from .errors import InvalidInputError
 from .geometry import DistanceMatrix
 from .matroids import Matroid, PartitionMatroid, UniformMatroid, greedy_basis_lmo
 from .relaxation import _score_vector
@@ -232,37 +230,3 @@ def local_search_half(
     idx = np.flatnonzero(in_basis)
     value = float(d[np.ix_(idx, idx)].sum() + w_vec[idx].sum())
     return LocalSearchResult(elements=tuple(int(e) for e in idx), value=value, swaps=swaps)
-
-
-def draw_subset(y, rng: np.random.Generator) -> tuple:
-    """One independent-inclusion draw: element e enters with probability y[e]."""
-    y = np.asarray(y, dtype=float)
-    picks = rng.random(y.shape[0]) < y
-    return tuple(int(e) for e in np.nonzero(picks)[0])
-
-
-def randomized_round_cardinality(
-    x_star, k: int, eps: float, rng_seed: int, *, max_retries: int = 10_000
-) -> tuple:
-    """Randomized rounding for cardinality constraints.
-
-    Scales x* down to y = (1 - eps) * x* and draws every element
-    independently with probability y[e], retrying until at most k elements
-    come up.  The pre-truncation draw has expected dispersion
-    (1 - eps)^2 * (x* @ D @ x*).  Uses a counter-based (Philox) generator
-    keyed by rng_seed, so results are reproducible per seed.
-    """
-    x = np.asarray(x_star, dtype=float)
-    if not 0.0 <= eps <= 1.0:
-        raise InvalidInputError(f"eps must be in [0, 1], got {eps}")
-    if (x < -1e-12).any() or (x > 1.0 + 1e-9).any():
-        raise InvalidInputError("x* must lie in [0, 1]^n")
-    if abs(x.sum() - k) > 1e-6 * (1.0 + k):
-        raise InvalidInputError(f"x* has mass {x.sum()}, expected k={k}")
-    y = (1.0 - eps) * np.clip(x, 0.0, 1.0)
-    rng = np.random.Generator(np.random.Philox(rng_seed))
-    for _ in range(max_retries):
-        picks = draw_subset(y, rng)
-        if len(picks) <= k:
-            return picks
-    raise RetryLimitError(f"no draw of size <= {k} within {max_retries} retries")

@@ -102,7 +102,7 @@ def _bound_checks(dm, w, k: int, x_star, value_x_star: float, basis_value: float
     if w is None:
         target = factor * value_x_star
     else:
-        target = value_x_star - ((4.0 + 2.0 * np.log(k)) / k if k >= 1 else 0.0) * quad
+        target = value_x_star - (1.0 - factor) * quad
     return {
         "k": int(k),
         "guarantee_factor": float(factor),
@@ -133,32 +133,48 @@ def _step_dicts(trace) -> list:
     return steps
 
 
+def _timed(fn, *args, **kwargs):
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - t0
+
+
 def _solve_pipeline(doc, *, gap_tol: float, force: bool, w_override=None):
+    """Certify, relax, round and run both baselines on one document.
+
+    Returns (dm, matroid, w, cert, relax, rounded, local, exact, timings);
+    `exact` is None and its time 0 when n exceeds the brute-force limit.
+    """
     dm, matroid, w = materialize(doc)
     if w_override is not None:
         w = None if isinstance(w_override, str) else w_override
 
-    t0 = time.perf_counter()
-    cert = certify_negative_type(dm)
-    t_cert = time.perf_counter() - t0
+    cert, t_cert = _timed(certify_negative_type, dm)
     if not cert.is_negative_type and not force:
         raise CertificationError(
             "distance is not of negative type (min eigenvalue "
             f"{cert.min_eigenvalue:.6g}); rerun with --force to solve anyway "
             "(this voids the approximation guarantee)"
         )
-
-    t0 = time.perf_counter()
-    relax = sweep_slices(dm, matroid, w=w, gap_tol=gap_tol, certificate=cert, force=force)
-    t_relax = time.perf_counter() - t0
-
-    best = relax.best
-    t0 = time.perf_counter()
-    rounded = round_to_basis(
-        dm, matroid, best.point.x, w=w, certificate=cert, force=force,
+    relax, t_relax = _timed(
+        sweep_slices, dm, matroid, w=w, gap_tol=gap_tol, certificate=cert, force=force
     )
-    t_round = time.perf_counter() - t0
-    return dm, matroid, w, cert, relax, rounded, (t_cert, t_relax, t_round)
+    rounded, t_round = _timed(
+        round_to_basis, dm, matroid, relax.best.point.x, w=w, certificate=cert, force=force
+    )
+    local, t_local = _timed(_baselines.local_search_half, dm, matroid, w=w)
+    exact, t_exact = None, 0.0
+    if dm.n <= _baselines.BRUTE_FORCE_MAX_N:
+        exact, t_exact = _timed(_baselines.brute_force_opt, dm, matroid, w=w)
+    timings = {
+        "certify_s": t_cert,
+        "relax_s": t_relax,
+        "round_s": t_round,
+        "local_search_s": t_local,
+        "exact_s": t_exact,
+        "baselines_s": t_local + t_exact,
+    }
+    return dm, matroid, w, cert, relax, rounded, local, exact, timings
 
 
 def cmd_solve(args) -> int:
@@ -168,22 +184,11 @@ def cmd_solve(args) -> int:
         parsed = _parse_scores_flag(args.scores, doc.n)
         w_override = parsed  # "drop" string or array
     total0 = time.perf_counter()
-    dm, matroid, w, cert, relax, rounded, phase_times = _solve_pipeline(
+    dm, matroid, w, cert, relax, rounded, local, exact, timings = _solve_pipeline(
         doc, gap_tol=args.gap, force=args.force, w_override=w_override,
     )
     best = relax.best
     x_star = best.point.x
-
-    t0 = time.perf_counter()
-    local = _baselines.local_search_half(dm, matroid, w=w)
-    t_local = time.perf_counter() - t0
-    exact = None
-    t_exact = 0.0
-    if dm.n <= _baselines.BRUTE_FORCE_MAX_N:
-        t0 = time.perf_counter()
-        exact = _baselines.brute_force_opt(dm, matroid, w=w)
-        t_exact = time.perf_counter() - t0
-
     k = matroid.full_rank
     value_x_star = float(best.value)
     report = {
@@ -220,15 +225,7 @@ def cmd_solve(args) -> int:
             else {"elements": _one_based(exact.elements), "value": float(exact.value)},
         },
         "bound_checks": _bound_checks(dm, w, k, x_star, value_x_star, float(rounded.value)),
-        "timings": {
-            "certify_s": phase_times[0],
-            "relax_s": phase_times[1],
-            "round_s": phase_times[2],
-            "local_search_s": t_local,
-            "exact_s": t_exact,
-            "baselines_s": t_local + t_exact,
-            "total_s": time.perf_counter() - total0,
-        },
+        "timings": {**timings, "total_s": time.perf_counter() - total0},
     }
     if args.trace:
         report["rounding"]["steps"] = _step_dicts(rounded.trace)
@@ -263,14 +260,9 @@ def _ratio(num: float, den: float) -> str:
 
 def cmd_compare(args) -> int:
     doc = _load_doc(args.instance)
-    dm, matroid, w, cert, relax, rounded, _ = _solve_pipeline(
+    dm, matroid, w, _, relax, rounded, local, exact, _ = _solve_pipeline(
         doc, gap_tol=args.gap, force=args.force
     )
-    local = _baselines.local_search_half(dm, matroid, w=w)
-    exact = None
-    if dm.n <= _baselines.BRUTE_FORCE_MAX_N:
-        exact = _baselines.brute_force_opt(dm, matroid, w=w)
-
     k = matroid.full_rank
     ub = float(relax.opt_upper_bound)
     value_x_star = float(relax.best.value)

@@ -19,7 +19,3 @@ class CertificationError(DivmaxError):
 
 class InternalInvariantError(DivmaxError):
     """An internal consistency check failed; indicates a bug, not bad input."""
-
-
-class RetryLimitError(DivmaxError):
-    """A randomized procedure exhausted its retry budget."""

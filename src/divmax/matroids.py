@@ -10,8 +10,6 @@ this module provides the pieces the solver and the rounding procedure need:
                           is the base polytope of the truncated matroid
   * slack_minimize     -- min of r(prefix|T) - x(prefix|T) over windowed
                           subsets T that contain i and avoid j
-  * max_feasible_step  -- how far x can move along e_i - e_j
-  * lift_to_base       -- raise a polytope point to the base polytope
 
 Slack searches use closed forms for uniform and partition matroids and one
 minimum cut per vertex of the contracted graph for graphic matroids; only
@@ -34,7 +32,6 @@ from .errors import InternalInvariantError, InvalidInputError
 
 # Hard cap on brute-force subset windows (explicit rank tables, rank-only kinds).
 W_MAX = 20
-NUM_TOL = 1e-9
 # Residual capacities at or below this fraction of a network's total
 # capacity count as saturated when a minimal minimum cut is read off.
 _CUT_TOL = 1e-12
@@ -594,105 +591,6 @@ def slack_minimize(m: Matroid, x, i, j, window, prefix=frozenset()) -> SlackResu
     if isinstance(m, GraphicMatroid):
         return _slack_graphic(m, x, i, j, window_set, prefix_set)
     return _slack_brute(m, x, i, j, window_set, prefix_set)
-
-
-def max_feasible_step(m: Matroid, x, i, j, window, prefix=frozenset()) -> float:
-    """Largest eps >= 0 keeping x + eps*(e_i - e_j) inside the polytope slice.
-
-    The binding quantities are x[j] (j hitting zero), 1 - x[i], and the
-    windowed slack minimum over sets containing i but not j.
-    """
-    x = np.asarray(x, dtype=float)
-    res = slack_minimize(m, x, i, j, window, prefix)
-    eps = min(float(x[j]), 1.0 - float(x[i]), res.min_slack)
-    if eps < -NUM_TOL * (1.0 + abs(eps)):
-        raise InternalInvariantError(f"negative feasible step {eps}; x violates the polytope")
-    return max(eps, 0.0)
-
-
-def lift_to_base(m: Matroid, x) -> np.ndarray:
-    """Raise x in P(M) coordinatewise until sum(z) == rank of the ground set.
-
-    Scans elements in index order; each element is raised by its maximum
-    feasible amount (the slack minimum over supporting sets).  After one
-    pass every element lies in a tight set, so z is in the base polytope.
-    The result dominates x, hence never decreases a monotone objective.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (m.n,):
-        raise InvalidInputError(f"x must have shape ({m.n},), got {x.shape}")
-    if (x < -NUM_TOL).any():
-        raise InvalidInputError("x must be nonnegative")
-    z = x.copy()
-    for i in range(m.n):
-        window = set(np.nonzero(z > 0)[0].tolist())
-        window.add(i)
-        res = slack_minimize(m, z, i, None, window)
-        gain = min(res.min_slack, 1.0 - z[i])
-        if gain > 0:
-            z[i] += gain
-    total = z.sum()
-    if abs(total - m.full_rank) > 1e-6 * (1.0 + m.full_rank):
-        raise InternalInvariantError(
-            f"lift ended at mass {total}, expected rank {m.full_rank}"
-        )
-    return z
-
-
-def polytope_min_slack(m: Matroid, x) -> float:
-    """Global minimum of r(S) - x(S) over nonempty S; >= 0 iff x(S) <= r(S) all S.
-
-    Closed forms for uniform/partition; for graphic matroids the minimum
-    over i of the minimum-cut slack search over sets containing i, for any
-    n; brute force otherwise (n <= W_MAX).  Combine with x >= 0 to get full
-    membership in P(M).
-    """
-    x = np.asarray(x, dtype=float)
-    if isinstance(m, UniformMatroid):
-        pool = _sorted_pool(range(m.n), x)
-        best = None
-        mass = 0.0
-        for t, e in enumerate(pool, start=1):
-            mass += x[e]
-            val = min(t, m.k) - mass
-            if best is None or val < best:
-                best = val
-        return float(best)
-    if isinstance(m, PartitionMatroid):
-        block_mins = []
-        for bi, block in enumerate(m.blocks):
-            pool = _sorted_pool(block, x)
-            cap = m.capacities[bi]
-            best = None
-            mass = 0.0
-            for t, e in enumerate(pool, start=1):
-                mass += x[e]
-                val = min(t, cap) - mass
-                if best is None or val < best:
-                    best = val
-            block_mins.append(best)
-        negative = sum(v for v in block_mins if v < 0)
-        if negative < 0:
-            return float(negative)
-        return float(min(block_mins))
-    if isinstance(m, GraphicMatroid):
-        return min(slack_minimize(m, x, i, None, range(m.n)).min_slack for i in range(m.n))
-    if m.n > W_MAX:
-        raise InvalidInputError(f"global slack scan needs n <= {W_MAX} for kind {m.kind!r}")
-    best = None
-    for mask in range(1, 1 << m.n):
-        s = [e for e in range(m.n) if mask >> e & 1]
-        val = m.rank(s) - float(sum(x[e] for e in s))
-        if best is None or val < best:
-            best = val
-    return float(best)
-
-
-def in_polytope(m: Matroid, x, tol: float = NUM_TOL) -> bool:
-    x = np.asarray(x, dtype=float)
-    if (x < -tol).any():
-        return False
-    return polytope_min_slack(m, x) >= -tol * (1.0 + m.full_rank)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import CertificationError, InternalInvariantError, InvalidInputError
 from .geometry import DistanceMatrix, certify_negative_type
 from .matroids import Matroid, slack_minimize
+from .relaxation import _TIE_GRID
 
 # Absolute snapping/tightness tolerance for chain bookkeeping.
 TIGHT_TOL = 1e-7
@@ -361,7 +362,6 @@ def round(
     *,
     tol: float = TIGHT_TOL,
     keep_iterates: bool = False,
-    rebuild_chain: bool = False,
     validate_steps: bool = False,
     certificate=None,
     force: bool = False,
@@ -369,10 +369,11 @@ def round(
     """Round x* in the base polytope to a basis of the matroid.
 
     Each iteration costs one slack search; there are at most n iterations.
-    `rebuild_chain` reconstructs the chain from scratch every iteration
-    (debug path; the default updates it incrementally), `validate_steps`
-    re-checks all chain invariants after every step, and `keep_iterates`
-    stores a copy of x per iteration in the trace.
+    x* is first rounded to multiples of 2^-40, so coordinates that are equal
+    in exact arithmetic tie exactly and the pair rule's index order decides
+    between them.  `validate_steps` re-checks all chain invariants after
+    every step, and `keep_iterates` stores a copy of x per iteration in the
+    trace.
     """
     if dm.n != m.n:
         raise InvalidInputError(f"distance has n={dm.n} but matroid has n={m.n}")
@@ -380,9 +381,10 @@ def round(
         cert = certificate if certificate is not None else certify_negative_type(dm)
         if not cert.is_negative_type:
             raise CertificationError("rounding loss bounds require a negative-type distance")
-    x = np.asarray(x_star, dtype=float).copy()
+    x = np.asarray(x_star, dtype=float)
     if x.shape != (m.n,):
         raise InvalidInputError(f"x must have shape ({m.n},), got {x.shape}")
+    x = np.round(x / _TIE_GRID) * _TIE_GRID
     x[x <= tol] = 0.0
     x[x >= 1.0 - tol] = 1.0
     k = m.full_rank
@@ -399,8 +401,6 @@ def round(
     records = []
     iterates = [x.copy()] if keep_iterates else None
     while any(not r.integral for r in chain.rings(x, tol)):
-        if rebuild_chain and records:
-            chain = build_chain(m, x, tol=tol)
         rec = round_step(dm, m, x, chain, w_vec, tol=tol)
         records.append(rec)
         if keep_iterates:

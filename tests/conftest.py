@@ -216,15 +216,29 @@ def enumerate_independent(m, max_size=None):
                 yield combo
 
 
-def random_base_point(m, seed: int) -> np.ndarray:
-    """Random point in the base polytope: convex combination of greedy bases."""
-    rng = np.random.default_rng(seed)
-    n, k = m.n, m.full_rank
-    x = np.zeros(n)
-    weights = rng.dirichlet(np.ones(6))
-    for lam in weights:
-        x += lam * divmax.greedy_basis_lmo(m, k, rng.standard_normal(n))
-    return x
+def polytope_min_slack(m, x) -> float:
+    """min over nonempty S of r(S) - x(S), >= 0 iff x(S) <= r(S) for every S.
+
+    Graphic matroids of any size take the minimum over i of the min-cut
+    search `divmax.slack_minimize(m, x, i, None, range(n))`; every other
+    matroid, or a graphic one seen only through its rank oracle, is scanned
+    subset by subset (n <= 20).
+    """
+    x = np.asarray(x, dtype=float)
+    if isinstance(m, divmax.GraphicMatroid):
+        return min(divmax.slack_minimize(m, x, i, None, range(m.n)).min_slack for i in range(m.n))
+    assert m.n <= 20
+    return min(
+        m.rank(s) - float(x[list(s)].sum())
+        for size in range(1, m.n + 1)
+        for s in itertools.combinations(range(m.n), size)
+    )
+
+
+def in_polytope(m, x, tol: float = 1e-9) -> bool:
+    """Membership of x in the matroid polytope P(M), up to tol."""
+    x = np.asarray(x, dtype=float)
+    return bool((x >= -tol).all()) and polytope_min_slack(m, x) >= -tol * (1.0 + m.full_rank)
 
 
 def reference_solve_slice(dm, m, alpha, w=None, *, gap_tol=1e-6, max_iters=None):

@@ -1,4 +1,4 @@
-"""Exhaustive optimum, swap local search, randomized cardinality rounding."""
+"""Exhaustive optimum and swap local search."""
 
 import itertools
 import tracemalloc
@@ -326,51 +326,3 @@ class TestBaselineContract:
         m = divmax.PartitionMatroid([[0, 1], [2, 3]], [0, 0])
         assert divmax.brute_force_opt(dm, m) == divmax.SubsetResult((), 0.0)
         assert divmax.local_search_half(dm, m) == divmax.LocalSearchResult((), 0.0, 0)
-
-
-class TestRandomizedRounding:
-    def test_eps_one_empty(self):
-        assert divmax.randomized_round_cardinality([0.5, 0.5, 0.5, 0.5], 2, 1.0, 7) == ()
-
-    def test_integral_eps_zero_identity(self):
-        x = [1.0, 0.0, 1.0, 0.0]
-        for seed in (0, 1, 99):
-            assert divmax.randomized_round_cardinality(x, 2, 0.0, seed) == (0, 2)
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            divmax.randomized_round_cardinality([0.5, 0.5], 1, 1.5, 0)
-        with pytest.raises(InvalidInputError):
-            divmax.randomized_round_cardinality([2.0, 0.0], 1, 0.1, 0)
-        with pytest.raises(InvalidInputError):
-            divmax.randomized_round_cardinality([0.5, 0.5], 3, 0.1, 0)  # mass != k
-
-    def test_output_size_bounded(self):
-        x = [0.5] * 8
-        for seed in range(50):
-            s = divmax.randomized_round_cardinality(x, 4, 0.1, seed)
-            assert len(s) <= 4
-
-    def test_seed_reproducibility(self):
-        x = [0.5] * 8
-        a = divmax.randomized_round_cardinality(x, 4, 0.1, 123)
-        b = divmax.randomized_round_cardinality(x, 4, 0.1, 123)
-        assert a == b
-
-    def test_pretruncation_mean_dispersion(self, allones_dm4):
-        # The first draw per seed (before the size-retry loop) has expected
-        # dispersion (1 - eps)^2 * (x* @ D @ x*); Monte Carlo over 10^4 seeds.
-        x_star = np.array([0.5, 0.5, 0.5, 0.5])
-        eps = 0.2
-        y = (1 - eps) * x_star
-        total = 0.0
-        trials = 10_000
-        for seed in range(trials):
-            rng = np.random.Generator(np.random.Philox(seed))
-            s = divmax.draw_subset(y, rng)
-            ind = np.zeros(4)
-            ind[list(s)] = 1.0
-            total += divmax.dispersion(allones_dm4, ind)
-        mean = total / trials
-        target = (1 - eps) ** 2 * 3.0
-        assert mean == pytest.approx(target, rel=0.05)

@@ -7,11 +7,14 @@ same for the scaled copies (c * D, c * w).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import divmax
 from divmax.cli import _bound_checks
 from divmax.errors import CertificationError, InvalidInputError
+
+from conftest import random_certified
 
 SCALES = (1e-8, 1.0, 1e8)
 
@@ -87,3 +90,19 @@ def test_relax_and_round_end_in_a_basis_or_a_named_refusal(kind, case, n, scored
     assert len(set(outcomes.values())) == 1, outcomes
     if case == "single_pair":
         assert outcomes[1.0] == "CertificationError"
+
+
+def test_exact_ties_in_x_star_round_alike_at_every_scale():
+    # Duplicate sets give x* two exactly equal coordinates, x_5 == x_9, which
+    # relax reproduces at every scale only up to the last bits; rounding must
+    # still pick the same basis.
+    base = random_certified(238, 26, "dice", dim=5)
+    m = divmax.UniformMatroid(26, 3)
+    got = {}
+    for c in SCALES:
+        dm = divmax.DistanceMatrix(c * base.d)
+        rounded = divmax.round(dm, m, divmax.sweep_slices(dm, m).best.point.x)
+        got[c] = (rounded.basis, rounded.value / c)
+    assert {basis for basis, _ in got.values()} == {(0, 9, 23)}, got
+    assert got[1e-8][1] == pytest.approx(got[1.0][1], rel=1e-9)
+    assert got[1e8][1] == pytest.approx(got[1.0][1], rel=1e-9)

@@ -7,7 +7,7 @@ import pytest
 
 import divmax
 from divmax.errors import InvalidInputError
-from divmax.geometry import METRIC_TOL, NUM_TOL, PSD_TOL_SCALE, _block_rows
+from divmax.geometry import METRIC_TOL, PSD_TOL_SCALE, _block_rows
 
 from conftest import (
     assert_matches_eigh_reference,

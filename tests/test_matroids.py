@@ -1,4 +1,4 @@
-"""Matroid rank oracles, greedy slice LMO, slack minimization, lifting."""
+"""Matroid rank oracles, greedy slice LMO, slack minimization, polytope membership."""
 
 import itertools
 
@@ -9,7 +9,13 @@ import divmax
 from divmax.errors import InvalidInputError
 from divmax.matroids import W_MAX, _slack_brute, validate_rank_table
 
-from conftest import RankOnly, enumerate_independent, random_base_point, random_matroid
+from conftest import (
+    RankOnly,
+    enumerate_independent,
+    in_polytope,
+    polytope_min_slack,
+    random_matroid,
+)
 
 
 def brute_slack(m, x, i, j, window, prefix=frozenset()):
@@ -314,104 +320,38 @@ class TestGraphicSlack:
         assert res.argmin == frozenset(range(20))
 
 
-class TestMaxFeasibleStep:
-    def test_symmetric_half(self):
-        m = divmax.UniformMatroid(4, 2)
-        x = np.array([0.5, 0.5, 0.5, 0.5])
-        assert divmax.max_feasible_step(m, x, 0, 1, {0, 1, 2, 3}) == pytest.approx(0.5)
-
-    def test_zero_when_j_empty(self):
-        m = divmax.UniformMatroid(4, 2)
-        x = np.array([0.5, 0.0, 0.5, 0.5])
-        assert divmax.max_feasible_step(m, x, 0, 1, {0, 1, 2, 3}) == 0.0
-
-    def test_three_point_instance(self):
-        m = divmax.UniformMatroid(3, 2)
-        x = np.array([0.9, 0.3, 0.8])
-        # min(x_j, 1 - x_i, windowed slack): slack of {1} is 0.7.
-        step = divmax.max_feasible_step(m, x, 1, 2, {0, 1, 2})
-        assert step == pytest.approx(0.7)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_step_stays_inside_polytope(self, seed):
-        rng = np.random.default_rng(seed)
-        m = random_matroid(seed + 71, 6)
-        if m.full_rank < 2:
-            return
-        x = 0.9 * random_base_point(m, seed) * (m.full_rank - 0.5) / m.full_rank
-        x = np.clip(x, 0.0, 1.0)
-        support = [e for e in range(6) if x[e] > 1e-9]
-        if len(support) < 2:
-            return
-        i, j = support[0], support[1]
-        eps = divmax.max_feasible_step(m, x, i, j, set(support))
-        y = x.copy()
-        y[i] += eps
-        y[j] -= eps
-        assert divmax.in_polytope(m, np.clip(y, 0.0, None), tol=1e-9)
-
-
-class TestLiftToBase:
-    def test_uniform_example(self):
-        m = divmax.UniformMatroid(4, 2)
-        z = divmax.lift_to_base(m, np.array([0.5, 0.0, 0.0, 0.0]))
-        assert np.allclose(z, [1, 1, 0, 0])
-
-    def test_partition_example(self):
-        m = divmax.PartitionMatroid([[0, 1], [2, 3]], [1, 1])
-        z = divmax.lift_to_base(m, np.array([0.3, 0.0, 0.4, 0.0]))
-        assert np.allclose(z, [1, 0, 1, 0])
-
-    def test_basis_vector_fixed_point(self):
-        m = divmax.UniformMatroid(4, 2)
-        x = np.array([1.0, 0.0, 1.0, 0.0])
-        assert np.allclose(divmax.lift_to_base(m, x), x)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_result_in_base_polytope_and_dominates(self, seed):
-        rng = np.random.default_rng(seed)
-        m = random_matroid(seed + 5, 6)
-        if m.full_rank == 0:
-            return
-        x = 0.7 * random_base_point(m, seed)
-        z = divmax.lift_to_base(m, x)
-        assert (z >= x - 1e-12).all()
-        assert z.sum() == pytest.approx(m.full_rank)
-        assert divmax.in_polytope(m, z, tol=1e-9)
-
-
 class TestPolytopeMembership:
     def test_uniform_inside_and_outside(self):
         m = divmax.UniformMatroid(4, 2)
-        assert divmax.in_polytope(m, [0.5, 0.5, 0.5, 0.5])
-        assert not divmax.in_polytope(m, [0.9, 0.9, 0.9, 0.0])
-        assert not divmax.in_polytope(m, [-0.1, 0.5, 0.5, 0.5])
+        assert in_polytope(m, [0.5, 0.5, 0.5, 0.5])
+        assert not in_polytope(m, [0.9, 0.9, 0.9, 0.0])
+        assert not in_polytope(m, [-0.1, 0.5, 0.5, 0.5])
 
     def test_partition_block_violation(self):
         m = divmax.PartitionMatroid([[0, 1], [2, 3]], [1, 1])
-        assert divmax.in_polytope(m, [0.5, 0.5, 0.5, 0.5])
-        assert not divmax.in_polytope(m, [0.9, 0.9, 0.0, 0.0])
+        assert in_polytope(m, [0.5, 0.5, 0.5, 0.5])
+        assert not in_polytope(m, [0.9, 0.9, 0.0, 0.0])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_closed_form_matches_subset_scan(self, seed):
+        # The uniform and partition closed forms of the slack search, taken
+        # over every i with the whole ground set as window, find the global
+        # minimum of the subset scan, also for x outside the polytope.
         rng = np.random.default_rng(seed)
         m = random_matroid(seed + 13, 6)
-        ex = divmax.ExplicitRankMatroid.from_matroid(m)
         x = rng.uniform(0.0, 1.2, size=6)
-        fast = divmax.polytope_min_slack(m, x)
-        brute = divmax.polytope_min_slack(ex, x)
-        assert fast == pytest.approx(brute, abs=1e-12)
-
+        fast = min(divmax.slack_minimize(m, x, i, None, range(6)).min_slack for i in range(6))
+        assert fast == pytest.approx(polytope_min_slack(m, x), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_graphic_matches_subset_scan(self, seed):
-        # Multigraphs with loops and parallel edges, at most 14 edges; the
-        # same rank function seen only through its oracle is scanned subset
-        # by subset.
+        # The oracle's min-cut branch against its subset scan, on multigraphs
+        # with loops and parallel edges and at most 14 edges; the scan sees
+        # the same rank function only through its oracle.
         m, x, *_ = random_graphic_window(seed)
         x = x * (1.0 + seed % 3 / 2.0)
-        fast = divmax.polytope_min_slack(m, x)
-        brute = divmax.polytope_min_slack(RankOnly(m), x)
+        fast = polytope_min_slack(m, x)
+        brute = polytope_min_slack(RankOnly(m), x)
         assert fast == pytest.approx(brute, abs=1e-12 * (1 + m.full_rank))
 
     def test_graphic_beyond_scan_size(self):
@@ -421,9 +361,9 @@ class TestPolytopeMembership:
         m = divmax.GraphicMatroid(7, list(itertools.combinations(range(7), 2)))
         dm = divmax.DistanceMatrix(np.ones((m.n, m.n)) - np.eye(m.n))
         x_star = divmax.sweep_slices(dm, m).best.point.x
-        assert divmax.polytope_min_slack(m, x_star) == pytest.approx(0.0, abs=1e-9)
-        assert divmax.in_polytope(m, x_star)
-        assert not divmax.in_polytope(m, 1.001 * x_star)
+        assert polytope_min_slack(m, x_star) == pytest.approx(0.0, abs=1e-9)
+        assert in_polytope(m, x_star)
+        assert not in_polytope(m, 1.001 * x_star)
 
 
 class TestFractionalPoint:

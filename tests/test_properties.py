@@ -105,18 +105,6 @@ def test_partition_rank_table_satisfies_axioms(num_blocks, data):
         divmax.validate_rank_table(ExplicitRankMatroid.from_matroid(m).ranks)
 
 
-@given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
-@settings(max_examples=150, deadline=None)
-def test_draw_subset_respects_marginals_support(y, seed):
-    rng = np.random.Generator(np.random.Philox(seed))
-    subset = divmax.draw_subset(y, rng)
-    arr = np.asarray(y)
-    for e in subset:
-        assert arr[e] > 0.0
-    for e in np.nonzero(arr >= 1.0)[0]:
-        assert e in subset
-
-
 @given(st.integers(2, 10), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_dispersion_matches_quadratic_form(n, seed):

@@ -11,6 +11,7 @@ from divmax.errors import CertificationError, InvalidInputError
 
 from conftest import (
     enumerate_independent,
+    in_polytope,
     random_certified,
     random_matroid,
     reference_solve_slice,
@@ -66,7 +67,7 @@ class TestSolveSlice:
             assert (np.diff(trace) >= -1e-9).all()
             x = sol.point.x
             assert x.sum() == pytest.approx(alpha, abs=1e-9)
-            assert divmax.in_polytope(m, x, tol=1e-9)
+            assert in_polytope(m, x, tol=1e-9)
             assert sol.gap >= 0.0
             assert sol.upper_bound == pytest.approx(sol.value + sol.gap)
 
@@ -189,7 +190,7 @@ class TestSolveSliceCost:
         assert value <= sol.upper_bound + tol
         assert sol.upper_bound == sol.value + sol.gap
         assert sol.point.x.sum() == pytest.approx(k, abs=1e-9)
-        assert divmax.in_polytope(m, sol.point.x, tol=1e-9)
+        assert in_polytope(m, sol.point.x, tol=1e-9)
         wv = np.zeros(m.n) if w is None else w
         for s in enumerate_independent(m):
             if len(s) == k:

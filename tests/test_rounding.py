@@ -245,16 +245,25 @@ class TestRound:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_incremental_chain_matches_rebuild(self, seed):
+        # Building the chain from scratch before every step reaches the basis
+        # and value that round() reaches by updating one chain in place.
         dm = random_certified(seed, 7, "l2")
         m = random_matroid(seed + 303, 7)
         if m.full_rank == 0:
             return
-        relax = divmax.sweep_slices(dm, m, gap_tol=1e-9)
-        x_star = relax.best.point.x
-        inc = divmax.round(dm, m, x_star)
-        reb = divmax.round(dm, m, x_star, rebuild_chain=True, validate_steps=True)
-        assert inc.basis == reb.basis
-        assert inc.value == pytest.approx(reb.value, abs=1e-9)
+        x_star = divmax.sweep_slices(dm, m, gap_tol=1e-9).best.point.x
+        inc = divmax.round(dm, m, x_star, keep_iterates=True)
+        x = inc.trace.iterates[0].copy()
+        chain = build_chain(m, x)
+        for _ in range(m.n):
+            if all(r.integral for r in chain.rings(x)):
+                break
+            round_step(dm, m, x, chain)
+            chain = build_chain(m, x)
+            chain.validate(m, x)
+        assert all(r.integral for r in chain.rings(x))
+        assert tuple(int(e) for e in np.nonzero(x >= 0.5)[0]) == inc.basis
+        assert float(x @ dm.d @ x) == pytest.approx(inc.value, abs=1e-9)
 
     def test_with_scores_quadratic_budget(self):
         rng = np.random.default_rng(5)

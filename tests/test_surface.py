@@ -1,0 +1,53 @@
+"""The public surface of the package: exports, removed names, unused imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import divmax
+
+SRC = Path(divmax.__file__).resolve().parent
+REMOVED = (
+    "RetryLimitError",
+    "draw_subset",
+    "in_polytope",
+    "lift_to_base",
+    "max_feasible_step",
+    "polytope_min_slack",
+    "randomized_round_cardinality",
+)
+
+
+def test_all_is_sorted_unique_and_resolves():
+    names = divmax.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(divmax, name), name
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_gone(name):
+    assert not hasattr(divmax, name)
+
+
+def _unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []
