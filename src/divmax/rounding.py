@@ -23,6 +23,11 @@ and S_l (slack is submodular and zero on chain sets) shows the minimizer can
 be taken of the form S_{l-1} | T with T inside the ring.  The number of
 fractional elements minus the number of fractional rings drops by at least
 one per step, so a run takes at most n steps.
+
+`build_chain` searches each ring once.  A step costs one slack search, one
+product D @ x (for the value and the sign), and the pair scan as array work:
+each fractional ring r is scored as the upper triangle of outer(x_r, x_r) *
+D[r, r].
 """
 
 from __future__ import annotations
@@ -32,14 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, InternalInvariantError, InvalidInputError
-from .geometry import DistanceMatrix, certify_negative_type
+from .errors import InternalInvariantError, InvalidInputError
+from .geometry import DistanceMatrix
 from .matroids import Matroid, slack_minimize
-from .relaxation import _TIE_GRID
+from .relaxation import _TIE_GRID, _require_certified, _score_vector
 
 # Absolute snapping/tightness tolerance for chain bookkeeping.
 TIGHT_TOL = 1e-7
-NUM_TOL = 1e-9
+BOX_TOL = 1e-9  # how far outside [0, 1] `build_chain` lets a coordinate stray
+SIGN_REL_TOL = 1e-9  # `round_step`'s sign threshold, as a fraction of the value
 
 
 @dataclass(frozen=True)
@@ -103,23 +109,23 @@ class ChainState:
         self.sets = out
 
     def normalize_integral(self, x, tol: float = TIGHT_TOL) -> None:
-        """Split integral elements out of multi-element rings.
+        """Split integral elements out of multi-element rings, in one pass.
 
         If x_i == 1 inside ring (S_{l-1}, S_l) with >= 2 elements, then
         S_{l-1} | {i} is tight (rank must rise by one for x to stay
-        feasible), so it can always be inserted.
+        feasible).  Each such element, in index order, becomes a singleton
+        ring of its own until one element of the ring is left.
         """
-        changed = True
-        while changed:
-            changed = False
-            for ring in self.rings(x, tol):
-                if len(ring.elements) < 2:
-                    continue
-                ones = [e for e in ring.elements if x[e] >= 1.0 - tol]
-                if ones:
-                    self.insert(ring.prefix | {ones[0]})
-                    changed = True
-                    break
+        out = []
+        prev: frozenset = frozenset()
+        for s in self.sets:
+            ring = sorted(s - prev)
+            for e in [e for e in ring if x[e] >= 1.0 - tol][: len(ring) - 1]:
+                prev = prev | {e}
+                out.append(prev)
+            out.append(s)
+            prev = s
+        self.sets = out
 
     def validate(self, m: Matroid, x, tol: float = TIGHT_TOL) -> None:
         """Assert chain invariants: tightness, ring masses, ring composition."""
@@ -151,14 +157,18 @@ def build_chain(m: Matroid, x, *, tol: float = TIGHT_TOL) -> ChainState:
 
     Zero components are ignored (the support itself is tight because
     x(support) == sum(x) == r(ground set) >= r(support) >= x(support)).
-    Rings are split as long as they contain an integral element or a
-    proper tight subset; tight subsets are found by slack minimization
-    over separating pairs inside the ring, which suffices by uncrossing.
+    Integral elements are split off once: no piece of a ring without one
+    has one.  One forward pass then searches each ring for a proper tight
+    subset by slack minimization over the separating pairs (i0, j), (j, i0),
+    i0 the ring's first element, which suffices by uncrossing.  A found
+    subset splits the ring and the pass goes on with the lower piece; a
+    ring without one is final, as later splits change neither it nor its
+    prefix.  So each ring is searched once.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (m.n,):
         raise InvalidInputError(f"x must have shape ({m.n},), got {x.shape}")
-    if (x < -NUM_TOL).any() or (x > 1 + NUM_TOL).any():
+    if (x < -BOX_TOL).any() or (x > 1 + BOX_TOL).any():
         raise InvalidInputError("x must lie in [0, 1]^n")
     if abs(x.sum() - m.full_rank) > 1e-6 * (1 + m.full_rank):
         raise InvalidInputError(
@@ -168,49 +178,41 @@ def build_chain(m: Matroid, x, *, tol: float = TIGHT_TOL) -> ChainState:
     chain = ChainState([support])
     chain.normalize_integral(x, tol)
 
-    changed = True
-    while changed:
-        changed = False
-        for ring in chain.rings(x, tol):
-            if len(ring.elements) < 2:
-                continue
-            window = set(ring.elements)
-            i0 = ring.elements[0]
-            for j in ring.elements[1:]:
-                for a, b in ((i0, j), (j, i0)):
-                    res = slack_minimize(m, x, a, b, window, ring.prefix)
-                    if res.min_slack <= tol:
-                        chain.insert(ring.prefix | res.argmin)
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
+    pos = 0
+    while pos < len(chain.sets):
+        prefix = chain.sets[pos - 1] if pos else frozenset()
+        ring = sorted(chain.sets[pos] - prefix)
+        for a, b in [p for j in ring[1:] for p in ((ring[0], j), (j, ring[0]))]:
+            res = slack_minimize(m, x, a, b, ring, prefix)
+            if res.min_slack <= tol:
+                # a in T, b not: a proper nonempty piece between the neighbours.
+                chain.sets.insert(pos, prefix | res.argmin)
                 break
-        if changed:
-            chain.normalize_integral(x, tol)
+        else:
+            pos += 1
     return chain
 
 
-def select_pair(dm: DistanceMatrix, x, chain) -> tuple:
+def select_pair(dm: DistanceMatrix, x, rings) -> tuple:
     """Fractional same-ring pair (i, j), i < j, minimizing x_i * x_j * d(i,j).
 
-    `chain` may be a ChainState or a precomputed ring list.  Ties break
-    lexicographically on (i, j).  Raises if no fractional ring remains
-    (rounding already complete).
+    `rings` is a ring list from `ChainState.rings`.  Each ring is scored
+    as one array, the strict upper triangle of outer(x_r, x_r) * D[r, r];
+    ties break lexicographically on (i, j).  Raises if no fractional ring
+    remains (rounding already complete).
     """
-    rings = chain.rings(x) if isinstance(chain, ChainState) else chain
     best = None
     for ring in rings:
         if ring.integral or len(ring.elements) < 2:
             continue
-        els = ring.elements
-        for ai in range(len(els)):
-            for bi in range(ai + 1, len(els)):
-                i, j = els[ai], els[bi]
-                cand = (float(x[i] * x[j] * dm.d[i, j]), i, j)
-                if best is None or cand < best:
-                    best = cand
+        r = list(ring.elements)
+        xr = x[r]
+        scores = np.outer(xr, xr) * dm.d[np.ix_(r, r)]
+        scores[np.tri(len(r), dtype=bool)] = np.inf
+        a, b = divmod(int(np.argmin(scores)), len(r))
+        cand = (float(scores[a, b]), r[a], r[b])
+        if best is None or cand < best:
+            best = cand
     if best is None:
         raise InvalidInputError("no fractional ring: rounding is already complete")
     return best[1], best[2]
@@ -234,15 +236,10 @@ class StepRecord:
     fractional_rings_after: int
 
 
-def _counts(chain: ChainState, x, tol):
-    f = 0
-    q = 0
-    for ring in chain.rings(x, tol):
-        if ring.integral:
-            continue
-        q += 1
-        f += len(ring.elements)
-    return f, q
+def _counts(rings) -> tuple:
+    """(fractional elements, fractional rings) of a ring list."""
+    sizes = [len(r.elements) for r in rings if not r.integral]
+    return sum(sizes), len(sizes)
 
 
 def round_step(
@@ -267,17 +264,15 @@ def round_step(
     i, j = select_pair(dm, x, rings)
     ring = next(r for r in rings if i in r.elements)
     w_vec = np.zeros(m.n) if w is None else np.asarray(w, dtype=float)
-
-    value_before = float(x @ d @ x + w_vec @ x)
-    f_before, q_before = _counts(chain, x, tol)
+    f_before, q_before = _counts(rings)
 
     dx = d @ x
+    value_before = float(x @ dx + w_vec @ x)
     kappa = 2.0 * float(dx[i] - dx[j]) - 2.0 * float(d[i, j]) * float(x[j] - x[i])
     kappa += float(w_vec[i] - w_vec[j])
     # Relative to the value (>= 0), so the sign does not change when D and
     # w are scaled together.
-    threshold = NUM_TOL * value_before
-    sign = 1 if kappa >= -threshold else -1
+    sign = 1 if kappa >= -SIGN_REL_TOL * value_before else -1
     inc, dec = (i, j) if sign == 1 else (j, i)
 
     res = slack_minimize(m, x, inc, dec, set(ring.elements), ring.prefix)
@@ -285,6 +280,7 @@ def round_step(
         raise InternalInvariantError(f"negative ring slack {res.min_slack}")
     eps = min(float(x[dec]), 1.0 - float(x[inc]), max(res.min_slack, 0.0))
 
+    x_inc, x_dec = float(x[inc]), float(x[dec])
     x[inc] += eps
     x[dec] -= eps
     if x[dec] <= tol:
@@ -301,8 +297,10 @@ def round_step(
         x[inc] = 1.0
     chain.normalize_integral(x, tol)
 
-    value_after = float(x @ d @ x + w_vec @ x)
-    f_after, q_after = _counts(chain, x, tol)
+    # D @ x after the step, from the two coordinates that moved.
+    dx += (x[inc] - x_inc) * d[inc] + (x[dec] - x_dec) * d[dec]
+    value_after = float(x @ dx + w_vec @ x)
+    f_after, q_after = _counts(chain.rings(x, tol))
     if f_after - q_after >= f_before - q_before:
         raise InternalInvariantError(
             f"progress measure did not decrease: {f_before}-{q_before} -> {f_after}-{q_after}"
@@ -368,7 +366,7 @@ def round(
 ) -> RoundResult:
     """Round x* in the base polytope to a basis of the matroid.
 
-    Each iteration costs one slack search; there are at most n iterations.
+    Each of at most n iterations costs one slack search and one D @ x.
     x* is first rounded to multiples of 2^-40, so coordinates that are equal
     in exact arithmetic tie exactly and the pair rule's index order decides
     between them.  `validate_steps` re-checks all chain invariants after
@@ -377,13 +375,11 @@ def round(
     """
     if dm.n != m.n:
         raise InvalidInputError(f"distance has n={dm.n} but matroid has n={m.n}")
-    if not force:
-        cert = certificate if certificate is not None else certify_negative_type(dm)
-        if not cert.is_negative_type:
-            raise CertificationError("rounding loss bounds require a negative-type distance")
+    _require_certified(dm, certificate, force)
     x = np.asarray(x_star, dtype=float)
     if x.shape != (m.n,):
         raise InvalidInputError(f"x must have shape ({m.n},), got {x.shape}")
+    w_vec = _score_vector(w, m.n)
     x = np.round(x / _TIE_GRID) * _TIE_GRID
     x[x <= tol] = 0.0
     x[x >= 1.0 - tol] = 1.0
@@ -392,7 +388,6 @@ def round(
         empty_trace = RoundingTrace((), 0.0, 0.0, 0, (), () if keep_iterates else None)
         return RoundResult(basis=(), value=float(0.0), trace=empty_trace)
 
-    w_vec = None if w is None else np.asarray(w, dtype=float)
     quad_star = float(x @ dm.d @ x)
 
     chain = build_chain(m, x, tol=tol)
@@ -400,8 +395,10 @@ def round(
         chain.validate(m, x, tol)
     records = []
     iterates = [x.copy()] if keep_iterates else None
-    while any(not r.integral for r in chain.rings(x, tol)):
+    fractional, _ = _counts(chain.rings(x, tol))
+    while fractional:
         rec = round_step(dm, m, x, chain, w_vec, tol=tol)
+        fractional = rec.fractional_after
         records.append(rec)
         if keep_iterates:
             iterates.append(x.copy())
@@ -418,7 +415,7 @@ def round(
         min(2.0 / ((total - t) * k), 2.0 / (total - t) ** 2) * quad_star
         for t in range(total)
     )
-    value = float(x @ dm.d @ x) + (float(w_vec @ x) if w_vec is not None else 0.0)
+    value = float(x @ dm.d @ x) + float(w_vec @ x)
     trace = RoundingTrace(
         iterations=tuple(records),
         total_loss=float(sum(r.loss for r in records)),

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import divmax
-from divmax.relaxation import ITER_CAP_SCALE
+from divmax.relaxation import _TIE_GRID, ITER_CAP_SCALE
+from divmax.rounding import TIGHT_TOL
 
 # Weights at or below this leave the active set of `reference_solve_slice`.
 _WEIGHT_FLOOR = 1e-14
@@ -239,6 +240,129 @@ def in_polytope(m, x, tol: float = 1e-9) -> bool:
     """Membership of x in the matroid polytope P(M), up to tol."""
     x = np.asarray(x, dtype=float)
     return bool((x >= -tol).all()) and polytope_min_slack(m, x) >= -tol * (1.0 + m.full_rank)
+
+
+def reference_normalize_integral(chain, x, tol: float) -> None:
+    """Split integral elements out of multi-element rings, restarting after each."""
+    changed = True
+    while changed:
+        changed = False
+        for ring in chain.rings(x, tol):
+            if len(ring.elements) < 2:
+                continue
+            ones = [e for e in ring.elements if x[e] >= 1.0 - tol]
+            if ones:
+                chain.insert(ring.prefix | {ones[0]})
+                changed = True
+                break
+
+
+def reference_build_chain(m, x, tol: float = TIGHT_TOL):
+    """Maximal chain of tight sets, rescanning from the first ring after each split.
+
+    The search `divmax.build_chain` ran before it became one forward pass:
+    after every insertion it normalizes again and restarts at ring 0, so
+    final rings are searched again.  Input checks are left out.
+    """
+    x = np.asarray(x, dtype=float)
+    chain = divmax.ChainState([frozenset(int(e) for e in np.nonzero(x > 0)[0])])
+    reference_normalize_integral(chain, x, tol)
+    changed = True
+    while changed:
+        changed = False
+        for ring in chain.rings(x, tol):
+            if len(ring.elements) < 2:
+                continue
+            window = set(ring.elements)
+            i0 = ring.elements[0]
+            for j in ring.elements[1:]:
+                for a, b in ((i0, j), (j, i0)):
+                    res = divmax.slack_minimize(m, x, a, b, window, ring.prefix)
+                    if res.min_slack <= tol:
+                        chain.insert(ring.prefix | res.argmin)
+                        changed = True
+                        break
+                if changed:
+                    break
+            if changed:
+                break
+        if changed:
+            reference_normalize_integral(chain, x, tol)
+    return chain
+
+
+def reference_select_pair(dm, x, rings) -> tuple:
+    """The pair rule as a Python loop over every pair of every fractional ring."""
+    best = None
+    for ring in rings:
+        if ring.integral or len(ring.elements) < 2:
+            continue
+        els = ring.elements
+        for ai in range(len(els)):
+            for bi in range(ai + 1, len(els)):
+                i, j = els[ai], els[bi]
+                cand = (float(x[i] * x[j] * dm.d[i, j]), i, j)
+                if best is None or cand < best:
+                    best = cand
+    assert best is not None
+    return best[1], best[2]
+
+
+def reference_round_step(dm, m, x, chain, w_vec, tol: float = TIGHT_TOL) -> dict:
+    """One rounding move in place, as `divmax.round_step` made it with n x n values.
+
+    The ring list is rebuilt wherever it is needed, the values come from
+    x @ D @ x before and after, and the sign from a separate D @ x.
+    Returns the step's pair, sign, eps, event, new tight set and values.
+    """
+    d = dm.d
+    rings = chain.rings(x, tol)
+    i, j = reference_select_pair(dm, x, rings)
+    ring = next(r for r in rings if i in r.elements)
+    value_before = float(x @ d @ x + w_vec @ x)
+    dx = d @ x
+    kappa = 2.0 * float(dx[i] - dx[j]) - 2.0 * float(d[i, j]) * float(x[j] - x[i])
+    kappa += float(w_vec[i] - w_vec[j])
+    sign = 1 if kappa >= -1e-9 * value_before else -1
+    inc, dec = (i, j) if sign == 1 else (j, i)
+    res = divmax.slack_minimize(m, x, inc, dec, set(ring.elements), ring.prefix)
+    eps = min(float(x[dec]), 1.0 - float(x[inc]), max(res.min_slack, 0.0))
+    x[inc] += eps
+    x[dec] -= eps
+    if x[dec] <= tol:
+        x[dec] = 0.0
+        chain.erase(dec)
+        event, new_tight = "erased", None
+    else:
+        new_tight = ring.prefix | res.argmin
+        chain.insert(new_tight)
+        event = "refined"
+    if x[inc] >= 1.0 - tol:
+        x[inc] = 1.0
+    reference_normalize_integral(chain, x, tol)
+    value_after = float(x @ d @ x + w_vec @ x)
+    return {"pair": (i, j), "sign": sign, "eps": float(eps), "event": event,
+            "new_tight_set": new_tight, "loss": value_before - value_after}
+
+
+def reference_round(dm, m, x_star, w=None, tol: float = TIGHT_TOL):
+    """The rounding loop over the reference chain, pair rule and step.
+
+    x* is snapped as `divmax.round` snaps it; certification and input
+    checks are left out.  Returns (basis, value, step dicts).
+    """
+    w_vec = np.zeros(m.n) if w is None else np.asarray(w, dtype=float)
+    x = np.round(np.asarray(x_star, dtype=float) / _TIE_GRID) * _TIE_GRID
+    x[x <= tol] = 0.0
+    x[x >= 1.0 - tol] = 1.0
+    if m.full_rank == 0:
+        return (), 0.0, []
+    chain = reference_build_chain(m, x, tol)
+    steps = []
+    while any(not r.integral for r in chain.rings(x, tol)):
+        steps.append(reference_round_step(dm, m, x, chain, w_vec, tol))
+    basis = tuple(int(e) for e in np.nonzero(x >= 1.0 - tol)[0])
+    return basis, float(x @ dm.d @ x) + float(w_vec @ x), steps
 
 
 def reference_solve_slice(dm, m, alpha, w=None, *, gap_tol=1e-6, max_iters=None):

@@ -7,7 +7,10 @@ import divmax
 from divmax.errors import CertificationError, InternalInvariantError, InvalidInputError
 from divmax.rounding import ChainState, build_chain, round_step, select_pair
 
-from conftest import random_certified, random_matroid
+from conftest import random_certified, random_matroid, reference_round
+
+MATROID_KINDS = ("uniform", "partition", "graphic", "explicit_rank")
+DISTANCE_KINDS = ("l1", "l2", "jaccard", "cosine", "dice")
 
 
 def ring_summary(chain, x):
@@ -76,6 +79,23 @@ class TestBuildChain:
         with pytest.raises(InvalidInputError):
             build_chain(m, np.array([1.5, 0.5, 0.0, 0.0]))  # outside [0,1]
 
+    def test_each_slack_search_made_once(self, monkeypatch):
+        # Restarting from the first ring after each split searched {0, 1}
+        # again: 14 searches, 12 of them distinct.
+        calls = []
+        search = divmax.rounding.slack_minimize
+
+        def recording(m, x, i, j, window, prefix=frozenset()):
+            calls.append((i, j, frozenset(window), frozenset(prefix)))
+            return search(m, x, i, j, window, prefix)
+
+        monkeypatch.setattr(divmax.rounding, "slack_minimize", recording)
+        m = divmax.PartitionMatroid([[0, 1], [2, 3], [4, 5]], [1, 1, 1])
+        x = np.full(6, 0.5)
+        chain = build_chain(m, x)
+        assert [set(r.elements) for r in chain.rings(x)] == [{0, 1}, {2, 3}, {4, 5}]
+        assert len(calls) == len(set(calls)) == 12
+
     @pytest.mark.parametrize("seed", range(10))
     def test_random_base_points_validate(self, seed):
         rng = np.random.default_rng(seed)
@@ -94,7 +114,7 @@ class TestSelectPair:
         m = divmax.UniformMatroid(4, 2)
         x = np.array([0.5, 0.5, 0.5, 0.5])
         chain = build_chain(m, x)
-        assert select_pair(allones_dm4, x, chain) == (0, 1)
+        assert select_pair(allones_dm4, x, chain.rings(x)) == (0, 1)
 
     def test_minimum_product_wins(self):
         d = np.full((4, 4), 10.0)
@@ -104,7 +124,7 @@ class TestSelectPair:
         m = divmax.UniformMatroid(4, 2)
         x = np.array([0.9, 0.1, 0.5, 0.5])
         chain = build_chain(m, x)
-        i, j = select_pair(dm, x, chain)
+        i, j = select_pair(dm, x, chain.rings(x))
         assert (i, j) == (0, 1)
         assert x[i] * x[j] * dm.d[i, j] == pytest.approx(0.09)
 
@@ -118,15 +138,15 @@ class TestSelectPair:
         m = divmax.PartitionMatroid([[0, 1], [2, 3]], [1, 1])
         x = np.array([0.5, 0.5, 0.5, 0.5])
         chain = build_chain(m, x)
-        i, j = select_pair(dm, x, chain)
-        assert {i, j} in ({0, 1}, {2, 3})
+        # Both rings score 0.25 * 10; the tie goes to the lower (i, j).
+        assert select_pair(dm, x, chain.rings(x)) == (0, 1)
 
     def test_complete_rounding_rejected(self):
         m = divmax.UniformMatroid(4, 2)
         x = np.array([1.0, 0.0, 1.0, 0.0])
         chain = build_chain(m, x)
         with pytest.raises(InvalidInputError):
-            select_pair(random_certified(0, 4), x, chain)
+            select_pair(random_certified(0, 4), x, chain.rings(x))
 
 
 class TestRoundStep:
@@ -164,7 +184,7 @@ class TestRoundStep:
             x += lam * divmax.greedy_basis_lmo(m, m.full_rank, rng.standard_normal(7))
         chain = build_chain(m, x)
         while any(not r.integral for r in chain.rings(x)):
-            i, j = select_pair(dm, x, chain)
+            i, j = select_pair(dm, x, chain.rings(x))
             budget = 2.0 * x[i] * x[j] * dm.d[i, j]
             rec = round_step(dm, m, x, chain)
             assert rec.loss <= budget + 1e-9
@@ -215,6 +235,16 @@ class TestRound:
             divmax.round(dm, m, np.array([2.0, 0.0, 0.0, 0.0]))
         with pytest.raises(InvalidInputError):
             divmax.round(dm, m, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "w", [np.ones(3), [np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0]],
+        ids=["shape", "nan", "inf", "negative"],
+    )
+    def test_scores_checked(self, w):
+        dm = random_certified(0, 4)
+        m = divmax.UniformMatroid(4, 2)
+        with pytest.raises(InvalidInputError):
+            divmax.round(dm, m, np.full(4, 0.5), w=w)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_full_pipeline_guarantees(self, seed):
@@ -280,6 +310,47 @@ class TestRound:
             quad = float(x_star @ dm.d @ x_star)
             budget = (4.0 + 2.0 * np.log(k)) / k * quad
             assert res.value >= relax.best.value - budget - 1e-9
+
+
+def _oracle_instance(seed: int):
+    """A small certified instance of every matroid kind, with x* from relax."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 13))
+    kind = MATROID_KINDS[seed % 4]
+    if kind == "uniform":
+        m = divmax.UniformMatroid(n, int(rng.integers(1, n + 1)))
+    elif kind == "partition":
+        cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), size=2, replace=False))
+        perm = [int(e) for e in rng.permutation(n)]
+        blocks = [perm[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        m = divmax.PartitionMatroid(blocks, [int(rng.integers(1, len(b) + 1)) for b in blocks])
+    else:
+        vertices = int(rng.integers(3, 7))
+        edges = [tuple(int(v) for v in rng.choice(vertices, 2, replace=False)) for _ in range(n)]
+        m = divmax.GraphicMatroid(vertices, edges)
+        if kind == "explicit_rank":
+            top = int(rng.integers(1, m.full_rank + 1))
+            m = divmax.ExplicitRankMatroid.from_matroid(m, truncate_to=top)
+    dm = random_certified(seed, n, DISTANCE_KINDS[seed % 5])
+    w = rng.uniform(0.0, 1.0, size=n) if seed % 3 == 0 else None
+    x_star = divmax.sweep_slices(dm, m, w=w, gap_tol=1e-9).best.point.x
+    return dm, m, w, x_star
+
+
+@pytest.mark.parametrize("seed", range(240))
+def test_matches_reference_rounding(seed):
+    # The one-pass chain, the array pair rule and the one-product step take
+    # the steps that the rescanning chain, the pair loop and the n x n
+    # values took, to the same basis and final value.
+    dm, m, w, x_star = _oracle_instance(seed)
+    res = divmax.round(dm, m, x_star, w=w)
+    basis, value, steps = reference_round(dm, m, x_star, w)
+    assert res.basis == basis
+    assert res.value == value
+    got = [(r.pair, r.sign, r.eps, r.event, r.new_tight_set) for r in res.trace.iterations]
+    assert got == [(s["pair"], s["sign"], s["eps"], s["event"], s["new_tight_set"]) for s in steps]
+    for rec, ref in zip(res.trace.iterations, steps):
+        assert abs(rec.loss - ref["loss"]) <= 1e-12 * rec.value_before
 
 
 class TestGuaranteeFactor:

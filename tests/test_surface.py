@@ -1,6 +1,9 @@
-"""The public surface of the package: exports, removed names, unused imports."""
+"""The public surface of the package: exports, removed names, unused imports,
+and one owner for each module-level constant."""
 
 import ast
+import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,23 @@ def _unused_imports(path: Path) -> list:
 )
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def _constants(path: Path) -> set:
+    """Module-level UPPER_CASE names the module assigns."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    targets = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    return {t.id for t in targets if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)}
+
+
+def test_each_constant_has_one_owner():
+    owners = defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        for name in _constants(path):
+            owners[name].append(path.name)
+    assert {name: files for name, files in owners.items() if len(files) > 1} == {}
