@@ -75,7 +75,7 @@ def _certificate_dict(cert, forced: bool = False) -> dict:
     out = {
         "verdict": cert.verdict,
         "is_negative_type": bool(cert.is_negative_type),
-        "min_eigenvalue": float(cert.min_eigenvalue),
+        "min_eigenvalue": None if cert.min_eigenvalue is None else float(cert.min_eigenvalue),
     }
     if cert.witness is not None:
         out["witness"] = [float(v) for v in cert.witness]

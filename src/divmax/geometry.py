@@ -17,8 +17,9 @@ so that d(i, j) == c[i] + c[j] - 2 * Q[i, j] for all i, j, hence
     x @ D @ x == 2 * sum(x) * (c @ x) - 2 * (x @ Q @ x)
 
 identically in x.  D is of negative type exactly when Q is positive
-semidefinite, which is what `certify_negative_type` checks spectrally; a
-negative eigenvector of Q converts directly into a violating vector b.
+semidefinite, which `certify_negative_type` checks with one Cholesky
+factorization of Q shifted by its tolerance; when that fails, a negative
+eigenvector of Q converts directly into a violating vector b.
 """
 
 from __future__ import annotations
@@ -37,8 +38,11 @@ PSD_TOL_SCALE = 1e-8
 NUM_TOL = 1e-9
 # Additive slack allowed when checking the triangle inequality.
 METRIC_TOL = 1e-9
-# Cap on the bytes of one block temporary of the distance builders.
+# Cap on the bytes of one block temporary of the distance builders and of
+# the certifying factorization.
 _BLOCK_BYTES = 1 << 20
+# Column-block width of the certifying Cholesky factorization.
+_CHOL_BLOCK = 128
 # l2 entries whose Gram value g = |a|^2 + |b|^2 - 2 a.b is at most this
 # fraction of |a|^2 + |b|^2 are recomputed from the point differences.
 _GRAM_CANCEL = 1e-4
@@ -93,16 +97,18 @@ class SchoenbergForm:
 
 @dataclass(frozen=True)
 class NegTypeCertificate:
-    """Outcome of spectral negative-type certification.
+    """Outcome of negative-type certification.
 
     `min_eigenvalue` is the smallest eigenvalue of Q restricted to the
     non-base coordinates (the base row and column of Q are identically
-    zero and carry no information).  On failure, `witness` is a vector b
-    with sum(b) == 0 and b @ D @ b == witness_value > 0.
+    zero and carry no information) whenever `eigh` ran: on every rejection
+    and on the rare acceptance the Cholesky test could not make.  It is
+    None when the factorization accepted D.  On failure, `witness` is a
+    vector b with sum(b) == 0 and b @ D @ b == witness_value > 0.
     """
 
     is_negative_type: bool
-    min_eigenvalue: float
+    min_eigenvalue: float | None
     witness: np.ndarray | None = None
     witness_value: float | None = None
 
@@ -372,25 +378,69 @@ def _inf_norm(a: np.ndarray) -> float:
     )
 
 
-def certify_negative_type(dm: DistanceMatrix) -> NegTypeCertificate:
-    """Spectral test: D is of negative type iff Q is PSD.
+def _cholesky_in_place(a: np.ndarray) -> bool:
+    """Whether symmetric `a` has a Cholesky factor; `a` is overwritten.
 
-    The eigenvalues of Q restricted to the non-base coordinates come from
-    `eigvalsh`, which gives both the verdict and `min_eigenvalue`.
-    Acceptance threshold: min eigenvalue >= -PSD_TOL_SCALE * ||Q||_inf, so
-    c * D gets the same verdict as D for every c > 0; an all-zero D has
-    Q == 0 and is accepted.
-    Only on rejection does `eigh` run, to get the most negative eigenvector,
-    from which the certificate's witness b (zero-sum, b @ D @ b > 0) is
-    assembled.
+    Right-looking and blocked.  Each diagonal block is factored by
+    `np.linalg.cholesky`, which reads its lower triangle; the panel below
+    it is solved against that factor, and the lower trailing matrix is
+    updated by GEMMs one column block at a time.  Solves and updates run in
+    row chunks of at most _BLOCK_BYTES, so no temporary is larger than
+    that or one _CHOL_BLOCK-wide diagonal factor.  False as soon as a
+    diagonal block is not positive definite.
     """
-    form = schoenberg_form(dm, 0)
-    tau = PSD_TOL_SCALE * _inf_norm(form.q)
-    sub = form.q[1:, 1:]
-    min_eig = float(np.linalg.eigvalsh(sub)[0])
+    m = a.shape[0]
+    b = _CHOL_BLOCK
+    rows = max(b, _BLOCK_BYTES // (8 * b))
+    try:
+        for k0 in range(0, m, b):
+            k1 = min(k0 + b, m)
+            # The panel P becomes X with X @ lkk.T == P.  With rows and
+            # columns reversed lkk is upper triangular, so np.linalg.solve
+            # swaps no rows and back-substitutes.
+            upper = np.linalg.cholesky(a[k0:k1, k0:k1])[::-1, ::-1]
+            for r0 in range(k1, m, rows):
+                panel = a[r0 : r0 + rows, k0:k1]
+                panel[...] = np.linalg.solve(upper, panel.T[::-1])[::-1].T
+            for j0 in range(k1, m, b):
+                lj = a[j0 : j0 + b, k0:k1]
+                for r0 in range(j0, m, rows):
+                    a[r0 : r0 + rows, j0 : j0 + b] -= a[r0 : r0 + rows, k0:k1] @ lj.T
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def certify_negative_type(dm: DistanceMatrix) -> NegTypeCertificate:
+    """Test whether D is of negative type, that is whether Q is PSD.
+
+    Acceptance threshold: min eigenvalue of Q >= -tau with
+    tau = PSD_TOL_SCALE * ||Q||_inf, so c * D gets the same verdict as D
+    for every c > 0.  The verdict comes from one blocked Cholesky
+    factorization of A = Q[1:, 1:] + tau * I, formed from D in a single
+    (n-1) x (n-1) buffer and factored in place.  If the factor exists, Q
+    has no eigenvalue below -tau up to a backward error of about
+    n * eps * ||Q||, and D is accepted with `min_eigenvalue` None.
+    Only when the factorization fails does `eigh` run on the Schoenberg
+    form: its smallest eigenvalue decides against the same threshold and,
+    on rejection, its eigenvector gives the witness b (zero-sum,
+    b @ D @ b > 0).  An all-zero D has tau == 0 and no factor; `eigh`
+    accepts it with min eigenvalue 0.
+    """
+    c = dm.d[0, 1:]
+    a = np.add.outer(c, c)
+    a -= dm.d[1:, 1:]
+    a *= 0.5
+    tau = PSD_TOL_SCALE * _inf_norm(a)
+    a.reshape(-1)[:: a.shape[0] + 1] += tau
+    if _cholesky_in_place(a):
+        return NegTypeCertificate(is_negative_type=True, min_eigenvalue=None)
+    del a  # the Schoenberg form and eigh allocate their own n x n arrays
+    evals, evecs = np.linalg.eigh(schoenberg_form(dm, 0).q[1:, 1:])
+    min_eig = float(evals[0])
     if min_eig >= -tau:
         return NegTypeCertificate(is_negative_type=True, min_eigenvalue=min_eig)
-    u = np.linalg.eigh(sub)[1][:, 0]
+    u = evecs[:, 0]
     b = np.empty(dm.n)
     b[1:] = u
     b[0] = -u.sum()

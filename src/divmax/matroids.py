@@ -361,45 +361,38 @@ class SlackResult:
 
 def _sorted_pool(pool, x):
     # Larger mass first, lower index on ties: canonical per-size selection.
-    return sorted(pool, key=lambda e: (-x[e], e))
+    pool = np.array(pool, dtype=np.intp)
+    return pool[np.lexsort((pool, -x[pool]))]
 
 
-def _scan_sizes(k_of_t, pool_sorted, x, forced, base_mass):
-    """Minimize k_of_t(|T|) - x(T) over T = forced members plus a pool prefix.
+def _scan_sizes(p_size, cap, pool_sorted, x, forced, base_mass):
+    """Minimize min(p_size + |T|, cap) - mass(T) over T = forced plus a pool prefix.
 
     Candidate subsets are `forced` plus the first m elements of the
     (mass-descending) pool, m = 0..len(pool); per size this maximizes the
-    subtracted mass, so the scan visits the per-size minima.  Sizes are
-    scanned ascending with strict improvement, so smaller subsets win ties.
+    subtracted mass, so the scan visits the per-size minima.  mass(T) is
+    one running sum from `base_mass` (prefix and forced mass) over the
+    pool, and the first minimum wins, so smaller subsets win ties.
     Returns (best_value, best_members).
     """
-    best_val = None
-    best_members = None
-    mass = base_mass
-    members = list(forced)
-    t = len(members)
-    while True:
-        val = k_of_t(t) - mass
-        if best_val is None or val < best_val:
-            best_val = val
-            best_members = list(members)
-        if t - len(forced) >= len(pool_sorted):
-            break
-        nxt = pool_sorted[t - len(forced)]
-        members.append(nxt)
-        mass += x[nxt]
-        t += 1
-    return best_val, best_members
+    r = len(pool_sorted)
+    masses = np.empty(r + 1)
+    masses[0] = base_mass
+    masses[1:] = x[pool_sorted]
+    masses.cumsum(out=masses)
+    start = p_size + len(forced)
+    vals = np.arange(start, start + r + 1, dtype=float)
+    vals[max(cap - start, 0) :] = cap
+    vals -= masses
+    best = int(vals.argmin())
+    return float(vals[best]), forced + pool_sorted[:best].tolist()
 
 
 def _slack_uniform(m: UniformMatroid, x, i, j, window, prefix):
     pool = _sorted_pool([e for e in window if e != i and e != j], x)
-    p_size = len(prefix)
     p_mass = float(sum(x[e] for e in prefix))
-    best_val, best_members = _scan_sizes(
-        lambda t: float(min(p_size + t, m.k)), pool, x, [i], p_mass + x[i]
-    )
-    return SlackResult(float(best_val), frozenset(best_members))
+    best_val, best_members = _scan_sizes(len(prefix), m.k, pool, x, [i], p_mass + x[i])
+    return SlackResult(best_val, frozenset(best_members))
 
 
 def _slack_partition(m: PartitionMatroid, x, i, j, window, prefix):
@@ -409,15 +402,11 @@ def _slack_partition(m: PartitionMatroid, x, i, j, window, prefix):
         block_set = set(block)
         w_b = [e for e in window if e in block_set]
         p_b = [e for e in prefix if e in block_set]
-        cap = m.capacities[bi]
-        p_size = len(p_b)
         p_mass = float(sum(x[e] for e in p_b))
         forced = [i] if i in block_set else []
         pool = _sorted_pool([e for e in w_b if e != i and e != j], x)
         base_mass = p_mass + (x[i] if forced else 0.0)
-        val, mem = _scan_sizes(
-            lambda t, cap=cap, p=p_size: float(min(p + t, cap)), pool, x, forced, base_mass
-        )
+        val, mem = _scan_sizes(len(p_b), m.capacities[bi], pool, x, forced, base_mass)
         total += val
         members.extend(mem)
     return SlackResult(float(total), frozenset(members))

@@ -77,6 +77,20 @@ class TestCertify:
         assert abs(sum(w)) < 1e-9
         assert report["witness_value"] > 0
 
+    def test_min_eigenvalue_only_on_reject(self, capsys, tmp_path, bad_triangle):
+        path = tmp_path / "l2.json"
+        path.write_text(doc_to_json(divmax.gen_random_points(40, 3, "l2", 0, k=3)))
+        code, out, _ = run(capsys, "certify", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["is_negative_type"] is True
+        assert "min_eigenvalue" in report and report["min_eigenvalue"] is None
+        code, out, _ = run(capsys, "certify", bad_triangle)
+        assert code == 3
+        report = json.loads(out)
+        assert report["min_eigenvalue"] == pytest.approx(-0.5, rel=1e-12)
+        assert np.allclose(np.array(report["witness"]) / report["witness"][1], [-2.0, 1.0, 1.0])
+
     def test_out_file(self, capsys, gap42, tmp_path):
         dest = tmp_path / "cert.json"
         code, out, _ = run(capsys, "certify", gap42, "--out", str(dest))

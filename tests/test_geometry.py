@@ -414,6 +414,63 @@ class TestCertification:
         for dm in dms:
             assert_matches_eigh_reference(dm)
 
+    def test_multi_block_reject_matches_reference(self, monkeypatch):
+        # 639 non-base rows span several factor blocks.  Raising the distance
+        # between the last two points breaks negative type in the last one
+        # only: every leading principal minor before the last is unchanged.
+        n = 640
+        pts = np.random.default_rng(5).standard_normal((n, 3))
+        pts[7] = pts[3]  # a duplicate point: Q is singular before the shift
+        d = divmax.build_distance(pts, "l2").d.copy()
+        blocks = []
+        real_cholesky = np.linalg.cholesky
+
+        def spy(a):
+            blocks.append(a.shape[0])
+            return real_cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        cert = divmax.certify_negative_type(divmax.DistanceMatrix(d))
+        assert cert.is_negative_type and cert.min_eigenvalue is None
+        num_blocks = len(blocks)
+        assert num_blocks >= 3
+        d[-1, -2] = d[-2, -1] = d[-1, -2] + 6.0 * d.max()
+        dm = divmax.DistanceMatrix(d)
+        blocks.clear()
+        assert_matches_eigh_reference(dm)
+        assert len(blocks) == num_blocks  # only the last block failed
+        cert = divmax.certify_negative_type(dm)
+        assert not cert.is_negative_type and cert.min_eigenvalue < 0
+        assert cert.witness_value > 0
+
+    @pytest.mark.parametrize("n", [40, 300])
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    def test_threshold_verdicts_match_reference(self, n, c):
+        # Q with smallest eigenvalue -t * tau, tau = PSD_TOL_SCALE * ||Q||_inf,
+        # put into D by d(i, j) = Q_ii + Q_jj - 2 Q_ij with a zero base row.
+        rng = np.random.default_rng(n)
+        v = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
+        lam = np.linspace(1.0, 2.0, n - 1)
+        for t in (1.0 - 1e-3, 1.0 + 1e-3):
+            for _ in range(3):  # tau moves by a 1e-8 fraction of the change
+                q = (v * lam) @ v.T
+                q = 0.5 * (q + q.T)
+                lam[0] = -t * PSD_TOL_SCALE * np.abs(q).sum(axis=1).max()
+            q = (v * lam) @ v.T
+            q = 0.5 * (q + q.T)
+            diag = np.diag(q)
+            d = np.zeros((n, n))
+            d[0, 1:] = d[1:, 0] = diag
+            d[1:, 1:] = diag[:, None] + diag[None, :] - 2.0 * q
+            np.fill_diagonal(d, 0.0)
+            dm = divmax.DistanceMatrix(c * d)
+            assert_matches_eigh_reference(dm)
+            cert = divmax.certify_negative_type(dm)
+            assert cert.is_negative_type == (t < 1.0)
+            if t < 1.0:
+                # Accepted by the shifted factorization, not by `eigh`.
+                assert cert.min_eigenvalue is None
+
     def test_zero_sum_vectors_never_positive(self):
         # Direct quadratic-form check of what the certificate promises.
         rng = np.random.default_rng(42)

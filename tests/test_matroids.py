@@ -15,6 +15,7 @@ from conftest import (
     in_polytope,
     polytope_min_slack,
     random_matroid,
+    reference_scan_slack,
 )
 
 
@@ -244,6 +245,22 @@ class TestSlackMinimize:
         val, members = brute_slack(m, x, 0, 2, window, prefix)
         assert res.min_slack == pytest.approx(val, abs=1e-12)
         assert res.argmin == members
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_scans_match_loop_reference(self, seed):
+        # Exactly the loop's value and set, on masses that tie often.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 40))
+        m = random_matroid(seed, n)
+        x = rng.choice([0.0, 0.125, 1 / 3, 0.5, 0.75, 1.0], size=n) if seed % 2 else rng.random(n)
+        for _ in range(10):
+            perm = [int(e) for e in rng.permutation(n)]
+            cut = int(rng.integers(0, n - 1))
+            prefix, window = frozenset(perm[:cut]), frozenset(perm[cut:])
+            i = perm[cut]
+            j = perm[cut + 1] if rng.random() < 0.7 else None
+            res = divmax.slack_minimize(m, x, i, j, window, prefix)
+            assert (res.min_slack, res.argmin) == reference_scan_slack(m, x, i, j, window, prefix)
 
     def test_j_none_drops_exclusion(self):
         m = divmax.UniformMatroid(3, 2)
