@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .geometry import DistanceMatrix
-from .matroids import Matroid, PartitionMatroid, UniformMatroid, greedy_basis_lmo
+from .matroids import Matroid, PartitionMatroid, greedy_basis_lmo
 from .relaxation import _score_vector
 
 BRUTE_FORCE_MAX_N = 20
@@ -54,13 +54,16 @@ def _partition_bases(m: PartitionMatroid) -> np.ndarray:
     """Every basis of a partition matroid, one sorted row each, in lexicographic order.
 
     A basis takes exactly cap(b) elements of each block b, so the bases are
-    the product of the per-block combinations.  Rows are int8 (n <= 20), so
-    even C(20, 10) bases take under 2 MB.
+    the product of the per-block combinations.  One block's combinations
+    already come in lexicographic order; a product is sorted.  Rows are
+    int8 (n <= 20), so even C(20, 10) bases take under 2 MB.
     """
     per_block = [
         np.fromiter(chain.from_iterable(combinations(b, c)), dtype=np.int8).reshape(comb(len(b), c), c)
         for b, c in zip(m.blocks, m.capacities)
     ]
+    if len(per_block) == 1:
+        return per_block[0]
     picks = np.indices([len(p) for p in per_block]).reshape(len(per_block), -1)
     bases = np.sort(np.hstack([p[i] for p, i in zip(per_block, picks)]), axis=1)
     return bases[np.lexsort(bases.T[::-1])]
@@ -94,8 +97,6 @@ def _dfs_bases(m: Matroid, k: int):
 
 def _bases(m: Matroid, k: int):
     """Bases of m in lexicographic order, in batches of at most _BATCH rows."""
-    if isinstance(m, UniformMatroid):
-        return _batches(combinations(range(m.n), k), k)
     if isinstance(m, PartitionMatroid):
         bases = _partition_bases(m)
         return (bases[s:s + _BATCH] for s in range(0, len(bases), _BATCH))
@@ -108,9 +109,9 @@ def brute_force_opt(dm: DistanceMatrix, m: Matroid, w=None) -> SubsetResult:
     Only bases are enumerated: with D >= 0 and w >= 0 adding an element
     never lowers the value, and every independent set lies in a basis, so
     some basis is optimal.  (The same monotonicity lets the relaxation solve
-    the top slice alone.)  Uniform bases come from `combinations`, partition
-    bases from the product of per-block combinations, and other kinds from
-    a rank-oracle DFS that only enters branches ending in a basis.  The
+    the top slice alone.)  Partition bases, uniform ones included, come
+    from the product of per-block combinations, and other kinds from a
+    rank-oracle DFS that only enters branches ending in a basis.  The
     bases are scored in batches of at most _BATCH, as
     D[X, X].sum() + w[X].sum() per row, so memory does not grow with their
     number.  The result is the first basis in lexicographic order whose
@@ -145,15 +146,13 @@ def brute_force_opt(dm: DistanceMatrix, m: Matroid, w=None) -> SubsetResult:
     return SubsetResult(elements=tuple(int(e) for e in kept[0]), value=float(kept_vals[0]))
 
 
-def _feasible_swaps(m: Matroid, inside: np.ndarray, outside: np.ndarray):
+def _feasible_swaps(m: Matroid, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
     """Mask of the swaps B - a + b that give a basis: rows a in B, columns b not.
 
-    None means every swap is feasible (uniform).  Partition swaps are
-    decided by block counts: b joins a's block or a block with spare
-    capacity in B.  Other kinds ask the rank oracle once per swap.
+    Partition swaps, uniform ones included, are decided by block counts:
+    b joins a's block or a block with spare capacity in B.  Other kinds ask
+    the rank oracle once per swap.
     """
-    if isinstance(m, UniformMatroid):
-        return None
     if isinstance(m, PartitionMatroid):
         block_in, block_out = m.block_of[inside], m.block_of[outside]
         spare = np.bincount(block_in, minlength=len(m.blocks)) < np.asarray(m.capacities)
@@ -214,9 +213,7 @@ def local_search_half(
             2.0 * (s[outside] - d[np.ix_(inside, outside)] - s[inside, None])
             + w_vec[outside] - w_vec[inside, None]
         )
-        feasible = _feasible_swaps(m, inside, outside)
-        if feasible is not None:
-            gain[~feasible] = -np.inf
+        gain[~_feasible_swaps(m, inside, outside)] = -np.inf
         if not gain.size:
             break
         best = gain.max()

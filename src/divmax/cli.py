@@ -23,7 +23,7 @@ from .errors import (
     InvalidInputError,
 )
 from .geometry import certify_negative_type
-from .io import SCHEMA_VERSION, canonical_dumps, doc_from_json, doc_to_json, materialize
+from .io import SCHEMA_VERSION, canonical_dumps, doc_from_json, doc_to_json, materialize, parse_scores
 from .relaxation import GAP_TOL_DEFAULT, sweep_slices
 from .rounding import guarantee_factor, round as round_to_basis
 
@@ -63,12 +63,7 @@ def _parse_scores_flag(raw: str, n: int):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidInputError(f"cannot load scores from {raw}: {exc}")
-    if not isinstance(data, list) or len(data) != n:
-        raise InvalidInputError(f"scores must be a list of {n} numbers")
-    w = np.asarray(data, dtype=float)
-    if not np.isfinite(w).all() or (w < 0).any():
-        raise InvalidInputError("scores must be finite and nonnegative")
-    return w
+    return np.asarray(parse_scores(data, n))
 
 
 def _certificate_dict(cert, forced: bool = False) -> dict:

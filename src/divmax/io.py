@@ -102,6 +102,29 @@ def _expect(cond, msg):
         raise InvalidInputError(msg)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(map(_is_int, v))
+
+
+def _is_scalar_list(v) -> bool:
+    return isinstance(v, list) and not any(isinstance(e, (list, dict)) for e in v)
+
+
+def parse_scores(data, n: int) -> list:
+    """Scores as n floats; they must be finite nonnegative JSON numbers."""
+    _expect(isinstance(data, list) and len(data) == n and all(_is_number(s) and 0 <= s < math.inf for s in data),
+            f"scores must be a list of {n} finite nonnegative numbers")
+    return [float(s) for s in data]
+
+
 def doc_from_dict(data: dict) -> InstanceDoc:
     _expect(isinstance(data, dict), "instance document must be a JSON object")
     _expect("n" in data and "distance" in data and "matroid" in data,
@@ -109,16 +132,10 @@ def doc_from_dict(data: dict) -> InstanceDoc:
     version = data.get("schema_version", SCHEMA_VERSION)
     _expect(version == SCHEMA_VERSION, f"unsupported schema_version {version}")
     n = data["n"]
-    _expect(isinstance(n, int) and n >= 2, "n must be an integer >= 2")
-    scores = data.get("scores")
-    if scores is not None:
-        _expect(isinstance(scores, list) and len(scores) == n, "scores must list n numbers")
-        _expect(all(isinstance(s, (int, float)) and s >= 0 for s in scores),
-                "scores must be nonnegative numbers")
-        scores = [float(s) for s in scores]
+    _expect(_is_int(n) and n >= 2, "n must be an integer >= 2")
+    scores = None if data.get("scores") is None else parse_scores(data["scores"], n)
     seed = data.get("seed")
-    if seed is not None:
-        _expect(isinstance(seed, int), "seed must be an integer")
+    _expect(seed is None or _is_int(seed), "seed must be an integer")
     return InstanceDoc(
         n=n,
         distance=data["distance"],
@@ -140,21 +157,31 @@ def doc_from_json(text: str) -> InstanceDoc:
 def build_distance_from_doc(spec: dict, n: int) -> DistanceMatrix:
     _expect(isinstance(spec, dict) and "kind" in spec, "distance needs a 'kind'")
     kind = spec["kind"]
-    if kind == "explicit":
-        _expect("matrix" in spec, "explicit distance needs 'matrix'")
-        dm = build_distance(spec["matrix"], "explicit")
-    elif kind in NORM_KINDS:
-        _expect("points" in spec, f"distance kind {kind!r} needs 'points'")
-        dm = build_distance(spec["points"], kind, p=spec.get("p"))
+    if kind == "explicit" or kind in NORM_KINDS:
+        field = "matrix" if kind == "explicit" else "points"
+        _expect(field in spec, f"distance kind {kind!r} needs {field!r}")
+        p = spec.get("p")
+        _expect(p is None or _is_number(p), f"distance.p must be a number, got {p!r}")
+        try:
+            data = np.asarray(spec[field], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"distance.{field}: {exc}") from exc
+        dm = build_distance(data, kind, p=p)
     elif kind in SET_KINDS:
-        _expect("sets" in spec and "universe" in spec,
-                f"distance kind {kind!r} needs 'sets' and 'universe'")
-        dm = build_distance(spec["sets"], kind, universe=spec["universe"])
+        sets, universe = spec.get("sets"), spec.get("universe")
+        _expect(isinstance(sets, list) and all(map(_is_scalar_list, sets))
+                and (_is_int(universe) or _is_scalar_list(universe)),
+                f"distance kind {kind!r} needs 'sets', lists of scalars, and 'universe', an integer or list")
+        dm = build_distance(sets, kind, universe=universe)
     else:
         raise InvalidInputError(f"unknown distance kind {kind!r}")
     _expect(dm.n == n, f"distance describes {dm.n} elements, document says {n}")
-    for tr in spec.get("transforms", []):
-        _expect(isinstance(tr, dict) and "name" in tr, "each transform needs a 'name'")
+    transforms = spec.get("transforms", [])
+    _expect(isinstance(transforms, list) and all(isinstance(tr, dict) and "name" in tr for tr in transforms),
+            "distance.transforms must be a list of objects with a 'name'")
+    for tr in transforms:
+        _expect(all(tr.get(key) is None or _is_number(tr[key]) for key in ("alpha", "lam")),
+                f"transform parameters alpha and lam must be numbers, got {tr!r}")
         dm = transform_distance(dm, tr["name"], alpha=tr.get("alpha"), lam=tr.get("lam"))
     return dm
 
@@ -163,20 +190,21 @@ def build_matroid_from_doc(spec: dict, n: int) -> Matroid:
     _expect(isinstance(spec, dict) and "kind" in spec, "matroid needs a 'kind'")
     kind = spec["kind"]
     if kind == "uniform":
-        _expect("k" in spec, "uniform matroid needs 'k'")
+        _expect(_is_int(spec.get("k")), f"uniform matroid needs an integer 'k', got {spec.get('k')!r}")
         m = UniformMatroid(n, spec["k"])
     elif kind == "partition":
-        _expect("blocks" in spec and "capacities" in spec,
-                "partition matroid needs 'blocks' and 'capacities'")
-        blocks = [[int(e) - 1 for e in b] for b in spec["blocks"]]
-        m = PartitionMatroid(blocks, spec["capacities"])
+        blocks, caps = spec.get("blocks"), spec.get("capacities")
+        _expect(isinstance(blocks, list) and all(map(_is_int_list, blocks)) and _is_int_list(caps),
+                "partition matroid needs 'blocks', lists of integers, and integer 'capacities'")
+        m = PartitionMatroid([[e - 1 for e in b] for b in blocks], caps)
     elif kind == "graphic":
-        _expect("num_vertices" in spec and "edges" in spec,
-                "graphic matroid needs 'num_vertices' and 'edges'")
-        edges = [(int(u) - 1, int(v) - 1) for u, v in spec["edges"]]
-        m = GraphicMatroid(spec["num_vertices"], edges)
+        num_vertices, edges = spec.get("num_vertices"), spec.get("edges")
+        _expect(_is_int(num_vertices) and isinstance(edges, list)
+                and all(_is_int_list(e) and len(e) == 2 for e in edges),
+                "graphic matroid needs an integer 'num_vertices' and 'edges', integer pairs")
+        m = GraphicMatroid(num_vertices, [(u - 1, v - 1) for u, v in edges])
     elif kind == "explicit_rank":
-        _expect("ranks" in spec, "explicit_rank matroid needs 'ranks'")
+        _expect(_is_int_list(spec.get("ranks")), "explicit_rank matroid needs 'ranks', a list of integers")
         m = ExplicitRankMatroid(spec["ranks"])
     else:
         raise InvalidInputError(f"unknown matroid kind {kind!r}")

@@ -1,8 +1,9 @@
 """Matroid rank oracles and matroid-polytope primitives.
 
-Supported matroid kinds: uniform, partition, graphic (ground set = edges),
-and explicit rank tables for small ground sets.  On top of the rank oracle
-this module provides the pieces the solver and the rounding procedure need:
+Supported matroid kinds: partition, uniform (a partition matroid with one
+block), graphic (ground set = edges), and explicit rank tables for small
+ground sets.  On top of the rank oracle this module provides the pieces
+the solver and the rounding procedure need:
 
   * greedy_basis_lmo   -- max-weight basis of the rank-alpha truncation;
                           this is exact linear maximization over the slice
@@ -11,10 +12,11 @@ this module provides the pieces the solver and the rounding procedure need:
   * slack_minimize     -- min of r(prefix|T) - x(prefix|T) over windowed
                           subsets T that contain i and avoid j
 
-Slack searches use closed forms for uniform and partition matroids and one
-minimum cut per vertex of the contracted graph for graphic matroids; only
-explicit rank tables (n <= W_MAX) and rank-only subclasses enumerate the
-subsets of a window, which must then hold at most W_MAX elements.
+Slack searches scan block counts for partition matroids, uniform ones
+included, and take one minimum cut per vertex of the contracted graph for
+graphic matroids; only explicit rank tables (n <= W_MAX) and rank-only
+subclasses enumerate the subsets of a window, which must then hold at most
+W_MAX elements.
 Tie-breaking is deterministic everywhere: smaller subsets first, then
 lexicographic by sorted element tuple; per-size selections prefer larger x
 then lower index.  The graphic search returns the minimal minimizer, which
@@ -71,31 +73,13 @@ def _as_set(subset, n: int) -> frozenset:
     return s
 
 
-class UniformMatroid(Matroid):
-    kind = "uniform"
-
-    def __init__(self, n: int, k: int):
-        if n < 1:
-            raise InvalidInputError("uniform matroid needs n >= 1")
-        if not 0 <= k <= n:
-            raise InvalidInputError(f"uniform matroid needs 0 <= k <= n, got k={k}, n={n}")
-        self.n = int(n)
-        self.k = int(k)
-
-    def rank(self, subset) -> int:
-        return min(len(_as_set(subset, self.n)), self.k)
-
-    def incremental(self):
-        return _UniformIncremental(self.k)
-
-
 class PartitionMatroid(Matroid):
     """Disjoint blocks with per-block capacities; r(S) = sum min(|S&B|, cap)."""
 
     kind = "partition"
 
     def __init__(self, blocks, capacities):
-        blocks = [sorted(int(e) for e in b) for b in blocks]
+        blocks = [sorted(map(int, b)) for b in blocks]
         caps = [int(c) for c in capacities]
         if len(blocks) != len(caps):
             raise InvalidInputError("one capacity per block required")
@@ -119,15 +103,28 @@ class PartitionMatroid(Matroid):
                 self.block_of[e] = bi
 
     def rank(self, subset) -> int:
-        s = _as_set(subset, self.n)
-        counts = {}
-        for e in s:
-            bi = int(self.block_of[e])
-            counts[bi] = counts.get(bi, 0) + 1
-        return sum(min(c, self.capacities[bi]) for bi, c in counts.items())
+        block_of = self.block_of.tolist()
+        counts = [0] * len(self.blocks)
+        for e in _as_set(subset, self.n):
+            counts[block_of[e]] += 1
+        return sum(map(min, counts, self.capacities))
 
     def incremental(self):
         return _PartitionIncremental(self)
+
+
+class UniformMatroid(PartitionMatroid):
+    """All subsets of at most k elements: one block, range(n), of capacity k."""
+
+    kind = "uniform"
+
+    def __init__(self, n: int, k: int):
+        if n < 1:
+            raise InvalidInputError("uniform matroid needs n >= 1")
+        if not 0 <= k <= n:
+            raise InvalidInputError(f"uniform matroid needs 0 <= k <= n, got k={k}, n={n}")
+        self.k = int(k)
+        super().__init__([range(n)], [k])
 
 
 class GraphicMatroid(Matroid):
@@ -248,27 +245,15 @@ def validate_rank_table(ranks) -> None:
                     )
 
 
-class _UniformIncremental:
-    def __init__(self, k):
-        self.k = k
-        self.count = 0
-
-    def try_add(self, e) -> bool:
-        if self.count < self.k:
-            self.count += 1
-            return True
-        return False
-
-
 class _PartitionIncremental:
     def __init__(self, m: PartitionMatroid):
-        self.m = m
-        self.counts = [0] * len(m.blocks)
+        self.block_of = m.block_of.tolist()
+        self.spare = list(m.capacities)
 
     def try_add(self, e) -> bool:
-        bi = int(self.m.block_of[e])
-        if self.counts[bi] < self.m.capacities[bi]:
-            self.counts[bi] += 1
+        bi = self.block_of[e]
+        if self.spare[bi]:
+            self.spare[bi] -= 1
             return True
         return False
 
@@ -359,54 +344,48 @@ class SlackResult:
     argmin: frozenset
 
 
-def _sorted_pool(pool, x):
-    # Larger mass first, lower index on ties: canonical per-size selection.
-    pool = np.array(pool, dtype=np.intp)
-    return pool[np.lexsort((pool, -x[pool]))]
-
-
-def _scan_sizes(p_size, cap, pool_sorted, x, forced, base_mass):
+def _scan_sizes(p_size, cap, pool, x, forced, base_mass):
     """Minimize min(p_size + |T|, cap) - mass(T) over T = forced plus a pool prefix.
 
-    Candidate subsets are `forced` plus the first m elements of the
-    (mass-descending) pool, m = 0..len(pool); per size this maximizes the
-    subtracted mass, so the scan visits the per-size minima.  mass(T) is
-    one running sum from `base_mass` (prefix and forced mass) over the
-    pool, and the first minimum wins, so smaller subsets win ties.
+    The pool is sorted by larger mass first, lower index on ties, and the
+    candidate subsets are `forced` plus its first m elements,
+    m = 0..len(pool); per size this maximizes the subtracted mass, so the
+    scan visits the per-size minima.  mass(T) is one running sum from
+    `base_mass` (prefix and forced mass) over the pool, and the first
+    minimum wins, so smaller subsets win ties.
     Returns (best_value, best_members).
     """
-    r = len(pool_sorted)
-    masses = np.empty(r + 1)
+    pool = np.array(pool, dtype=np.intp)
+    pool = pool[np.lexsort((pool, -x[pool]))]
+    masses = np.empty(len(pool) + 1)
     masses[0] = base_mass
-    masses[1:] = x[pool_sorted]
+    masses[1:] = x[pool]
     masses.cumsum(out=masses)
     start = p_size + len(forced)
-    vals = np.arange(start, start + r + 1, dtype=float)
+    vals = np.arange(start, start + len(pool) + 1, dtype=float)
     vals[max(cap - start, 0) :] = cap
     vals -= masses
     best = int(vals.argmin())
-    return float(vals[best]), forced + pool_sorted[:best].tolist()
-
-
-def _slack_uniform(m: UniformMatroid, x, i, j, window, prefix):
-    pool = _sorted_pool([e for e in window if e != i and e != j], x)
-    p_mass = float(sum(x[e] for e in prefix))
-    best_val, best_members = _scan_sizes(len(prefix), m.k, pool, x, [i], p_mass + x[i])
-    return SlackResult(best_val, frozenset(best_members))
+    return float(vals[best]), forced + pool[:best].tolist()
 
 
 def _slack_partition(m: PartitionMatroid, x, i, j, window, prefix):
-    total = 0.0
-    members: list[int] = []
-    for bi, block in enumerate(m.blocks):
-        block_set = set(block)
-        w_b = [e for e in window if e in block_set]
-        p_b = [e for e in prefix if e in block_set]
+    """Sum of per-block scans, after one walk over the window and the prefix each."""
+    block_of = m.block_of.tolist()
+    pools, prefixes = [[] for _ in m.blocks], [[] for _ in m.blocks]
+    for e in window - {i, j}:
+        pools[block_of[e]].append(e)
+    for e in prefix:
+        prefixes[block_of[e]].append(e)
+    total, members = 0.0, []
+    for bi, (pool, p_b, cap) in enumerate(zip(pools, prefixes, m.capacities)):
         p_mass = float(sum(x[e] for e in p_b))
-        forced = [i] if i in block_set else []
-        pool = _sorted_pool([e for e in w_b if e != i and e != j], x)
-        base_mass = p_mass + (x[i] if forced else 0.0)
-        val, mem = _scan_sizes(len(p_b), m.capacities[bi], pool, x, forced, base_mass)
+        forced = [i] if bi == block_of[i] else []
+        if pool or forced:
+            base_mass = p_mass + x[i] if forced else p_mass
+            val, mem = _scan_sizes(len(p_b), cap, pool, x, forced, base_mass)
+        else:  # no window element: the prefix alone
+            val, mem = min(len(p_b), cap) - p_mass, []
         total += val
         members.extend(mem)
     return SlackResult(float(total), frozenset(members))
@@ -553,10 +532,11 @@ def slack_minimize(m: Matroid, x, i, j, window, prefix=frozenset()) -> SlackResu
 
     `j=None` drops the exclusion constraint (then T ranges over all window
     subsets containing i).  `prefix` must be disjoint from the window; the
-    returned argmin is T itself, not prefix|T.  Closed-form scans handle
-    uniform and partition matroids and minimum cuts handle graphic ones,
-    for a window of any size.  Explicit rank tables and rank-only kinds
-    brute-force the window, which must then have size <= W_MAX.
+    returned argmin is T itself, not prefix|T.  A block-count scan handles
+    partition matroids, uniform ones included, and minimum cuts handle
+    graphic ones, for a window of any size.  Explicit rank tables and
+    rank-only kinds brute-force the window, which must then have size
+    <= W_MAX.
     """
     x = np.asarray(x, dtype=float)
     window_set = _as_set(window, m.n)
@@ -573,8 +553,6 @@ def slack_minimize(m: Matroid, x, i, j, window, prefix=frozenset()) -> SlackResu
         if j == i:
             raise InvalidInputError("i and j must differ")
 
-    if isinstance(m, UniformMatroid):
-        return _slack_uniform(m, x, i, j, window_set, prefix_set)
     if isinstance(m, PartitionMatroid):
         return _slack_partition(m, x, i, j, window_set, prefix_set)
     if isinstance(m, GraphicMatroid):

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import os
 
-import numpy as np
+# One BLAS thread, set before numpy loads BLAS: oversubscribed threads make
+# the face solves many times slower, against the wall-clock bounds of
+# tests/test_acceptance.py.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 import divmax
@@ -298,7 +305,7 @@ def reference_build_chain(m, x, tol: float = TIGHT_TOL):
 
 
 def reference_scan_slack(m, x, i, j, window, prefix=frozenset()):
-    """Uniform or partition slack search as a Python scan over pool prefixes.
+    """Partition slack search (uniform: one block) as a Python scan over pool prefixes.
 
     The scan `divmax.slack_minimize` ran before it became a cumsum and an
     argmin: per block, the pool sorted by (-x[e], e), masses accumulated
@@ -306,12 +313,8 @@ def reference_scan_slack(m, x, i, j, window, prefix=frozenset()):
     block), strict improvements only.  Returns (min_slack, argmin).
     """
     prefix = frozenset(int(e) for e in prefix)  # summed in the order slack_minimize sees
-    if isinstance(m, divmax.UniformMatroid):
-        blocks, caps = [range(m.n)], [m.k]
-    else:
-        blocks, caps = m.blocks, m.capacities
     total, members = 0.0, []
-    for block, cap in zip(blocks, caps):
+    for block, cap in zip(m.blocks, m.capacities):
         block = set(block)
         forced = [i] if i in block else []
         pool = [e for e in window if e in block and e not in (i, j)]

@@ -21,6 +21,33 @@ LINE_POINTS = {
     "matroid": {"kind": "uniform", "k": 2},
 }
 
+PARTITION_22 = {"kind": "partition", "blocks": [[1, 2], [3, 4]], "capacities": [1, 1]}
+GRAPHIC_C4 = {"kind": "graphic", "num_vertices": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}
+
+# Documents whose fields have the wrong type or shape: (field, replacement).
+MALFORMED = {
+    "k-string": ("matroid", {"kind": "uniform", "k": "2"}),
+    "k-null": ("matroid", {"kind": "uniform", "k": None}),
+    "k-float": ("matroid", {"kind": "uniform", "k": 2.5}),
+    "k-bool": ("matroid", {"kind": "uniform", "k": True}),
+    "capacity-string": ("matroid", {**PARTITION_22, "capacities": ["a", 1]}),
+    "capacity-float": ("matroid", {**PARTITION_22, "capacities": [1.7, 1]}),
+    "block-string": ("matroid", {**PARTITION_22, "blocks": [["x", 2], [3, 4]]}),
+    "blocks-flat": ("matroid", {**PARTITION_22, "blocks": [1, 2, 3, 4]}),
+    "edge-single": ("matroid", {**GRAPHIC_C4, "edges": [[1], [2, 3], [3, 4], [1, 4]]}),
+    "num-vertices-string": ("matroid", {**GRAPHIC_C4, "num_vertices": "4"}),
+    "ranks-string": ("matroid", {"kind": "explicit_rank", "ranks": "abc"}),
+    "points-ragged": ("distance", {"kind": "l1", "points": [[0.0], [1.0, 2.0], [2.0], [3.0]]}),
+    "matrix-ragged": ("distance", {"kind": "explicit", "matrix": [[0, 1, 1, 1], [1, 0, 1], [1, 1, 0, 1], [1, 1, 1, 0]]}),
+    "points-string": ("distance", {"kind": "l2", "points": [["a"], [1.0], [2.0], [3.0]]}),
+    "p-string": ("distance", {"kind": "lp", "points": [[0.0], [1.0], [2.0], [3.0]], "p": "x"}),
+    "sets-flat": ("distance", {"kind": "jaccard", "sets": [1, 2, 3, 4], "universe": 4}),
+    "universe-nested": ("distance", {"kind": "jaccard", "sets": [[1], [2], [3], [4]], "universe": [[1], 2]}),
+    "transforms-int": ("distance", {**LINE_POINTS["distance"], "transforms": 5}),
+    "alpha-string": ("distance", {**LINE_POINTS["distance"], "transforms": [{"name": "power", "alpha": "x"}]}),
+    "scores-bool": ("scores", [True, False, True, False]),
+}
+
 
 @pytest.fixture
 def gap42(tmp_path):
@@ -249,6 +276,16 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(path))
         assert code == 2
         assert "invalid JSON" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_field_exits_2(self, capsys, tmp_path, case):
+        field, value = MALFORMED[case]
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps({**LINE_POINTS, field: value}))
+        code, _, err = run(capsys, "solve", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_threads_flag_validation(self, capsys, gap42):
         for command in ("solve", "compare"):

@@ -14,6 +14,7 @@ from conftest import (
     enumerate_independent,
     in_polytope,
     polytope_min_slack,
+    random_certified,
     random_matroid,
     reference_scan_slack,
 )
@@ -262,12 +263,56 @@ class TestSlackMinimize:
             res = divmax.slack_minimize(m, x, i, j, window, prefix)
             assert (res.min_slack, res.argmin) == reference_scan_slack(m, x, i, j, window, prefix)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scan_skips_blocks_without_window_elements(self, seed):
+        # Block 1 has neither window nor prefix elements, block 3 only
+        # prefix ones, and i's block 0 holds prefix elements too.
+        m = divmax.PartitionMatroid([[0, 1, 2], [3, 4], [5, 6, 7], [8, 9]], [2, 1, 2, 1])
+        rng = np.random.default_rng(seed)
+        x = rng.choice([0.0, 0.25, 0.5, 1.0], size=10) if seed % 2 else rng.random(10)
+        prefix, window = frozenset({1, 2, 8}), frozenset({0, 5, 6, 7})
+        for j in (5, None):
+            res = divmax.slack_minimize(m, x, 0, j, window, prefix)
+            assert (res.min_slack, res.argmin) == reference_scan_slack(m, x, 0, j, window, prefix)
+
     def test_j_none_drops_exclusion(self):
         m = divmax.UniformMatroid(3, 2)
         x = np.array([0.2, 0.9, 0.0])
         res = divmax.slack_minimize(m, x, 0, None, {0, 1, 2})
         # T may include every window element once j is unconstrained.
         assert res.min_slack == pytest.approx(min(1 - 0.2, 2 - 1.1, 2 - 1.1))
+
+
+class TestUniformIsOneBlock:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_results_as_one_block_partition(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 10))
+        k = (0, n, int(rng.integers(1, n)))[seed % 3]
+        uniform, one_block = divmax.UniformMatroid(n, k), divmax.PartitionMatroid([range(n)], [k])
+        dm = random_certified(seed, n, ("l1", "l2", "jaccard")[seed % 3])
+        w = rng.random(n) if seed % 2 else None
+        x = rng.random(n)
+        perm = [int(e) for e in rng.permutation(n)]
+        prefix, window = frozenset(perm[: n // 3]), frozenset(perm[n // 3 :])
+        i, j = perm[n // 3], perm[n // 3 + 1]
+        x_star = divmax.sweep_slices(dm, uniform, w=w).best.point.x
+
+        def results(m):
+            slack = divmax.slack_minimize(m, x, i, j, window, prefix)
+            greedy = divmax.greedy_basis_lmo(m, k, x).tolist() if k else None
+            exact = divmax.brute_force_opt(dm, m, w)
+            local = divmax.local_search_half(dm, m, w=w)
+            rounded = divmax.round(dm, m, x_star, w=w)
+            return (
+                float(slack.min_slack).hex(), slack.argmin, greedy,
+                exact.elements, float(exact.value).hex(),
+                local.elements, float(local.value).hex(), local.swaps,
+                rounded.basis, float(rounded.value).hex(),
+                [(r.pair, r.sign, r.eps, r.event) for r in rounded.trace.iterations],
+            )
+
+        assert results(uniform) == results(one_block)
 
 
 def random_graphic_window(seed):
@@ -351,8 +396,8 @@ class TestPolytopeMembership:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_closed_form_matches_subset_scan(self, seed):
-        # The uniform and partition closed forms of the slack search, taken
-        # over every i with the whole ground set as window, find the global
+        # The block-count scan of the slack search (uniform and partition),
+        # taken over every i with the whole ground set as window, finds the global
         # minimum of the subset scan, also for x outside the polytope.
         rng = np.random.default_rng(seed)
         m = random_matroid(seed + 13, 6)

@@ -74,3 +74,14 @@ def test_each_constant_has_one_owner():
         for name in _constants(path):
             owners[name].append(path.name)
     assert {name: files for name, files in owners.items() if len(files) > 1} == {}
+
+
+def test_uniform_matroid_is_a_one_block_partition_matroid():
+    m = divmax.UniformMatroid(4, 2)
+    assert isinstance(m, divmax.PartitionMatroid)
+    assert (m.kind, m.k, m.blocks, m.capacities) == ("uniform", 2, [(0, 1, 2, 3)], (2,))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_uniform_only_branch(path):
+    assert not re.search(r"isinstance\([^()]*UniformMatroid", path.read_text(encoding="utf-8"))
