@@ -232,10 +232,6 @@ def cmd_solve(args) -> int:
 def cmd_exact(args) -> int:
     doc = _load_doc(args.instance)
     dm, matroid, w = materialize(doc)
-    if dm.n > _baselines.BRUTE_FORCE_MAX_N:
-        raise InvalidInputError(
-            f"exact enumeration is limited to n <= {_baselines.BRUTE_FORCE_MAX_N}, got n={dm.n}"
-        )
     result = _baselines.brute_force_opt(dm, matroid, w=w)
     report = {
         "schema_version": SCHEMA_VERSION,

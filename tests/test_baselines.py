@@ -165,6 +165,18 @@ class TestBruteForce:
         assert len(res.elements) == 10
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("eps, first", [(1e-12, tuple(range(10))), (1e-6, tuple(range(1, 11)))])
+    def test_tie_rule_across_batches(self, eps, first):
+        # C(20, 10) = 184,756 bases in 23 batches.  Lowering D[0, j] by eps
+        # costs every basis with element 0 a loss of 18 eps: at 1e-12 that
+        # stays inside the relative tie window and the first basis wins; at
+        # 1e-6 the first basis without 0, index 92,378 in batch 12, wins.
+        d = np.ones((20, 20)) - np.eye(20)
+        d[0, 1:] -= eps
+        d[1:, 0] -= eps
+        res = divmax.brute_force_opt(divmax.DistanceMatrix(d), divmax.UniformMatroid(20, 10))
+        assert res.elements == first
+
     def test_size_guard(self):
         n = divmax.BRUTE_FORCE_MAX_N + 1
         pts = np.random.default_rng(0).standard_normal((n, 2))

@@ -287,6 +287,35 @@ class TestSolve:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "mask, rank, axiom",
+        [
+            (0b11, 0, "not monotone"),  # r({0, 1}) below r({0})
+            ((1 << 12) - 1, 6, "unit increase"),  # two above every r(E - e)
+            (0b1111, 2, "not monotone"),  # an independent 4-set ranked 2
+        ],
+        ids=["non-monotone-pair", "full-set-jump", "four-set-rank-2"],
+    )
+    def test_corrupted_rank_table_exits_2(self, capsys, tmp_path, mask, rank, axiom):
+        # The octahedron's graphic matroid truncated to rank 4, a 12-element
+        # table: one corrupted entry is refused, naming the broken axiom,
+        # whatever the size of the table.
+        edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 1 or u % 2]
+        m = divmax.GraphicMatroid(6, edges)
+        ranks = divmax.ExplicitRankMatroid.from_matroid(m, truncate_to=4).ranks.tolist()
+        assert m.rank([0, 1, 2, 3]) == 4
+        ranks[mask] = rank
+        rng = np.random.default_rng(3)
+        path = tmp_path / "rank12.json"
+        path.write_text(json.dumps({
+            "n": 12,
+            "distance": {"kind": "l2", "points": rng.standard_normal((12, 3)).tolist()},
+            "matroid": {"kind": "explicit_rank", "ranks": ranks},
+        }))
+        code, _, err = run(capsys, "solve", str(path))
+        assert code == 2
+        assert axiom in err
+
     def test_threads_flag_validation(self, capsys, gap42):
         for command in ("solve", "compare"):
             code, err = run_refused(capsys, command, gap42, "--threads", "2")

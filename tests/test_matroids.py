@@ -7,7 +7,7 @@ import pytest
 
 import divmax
 from divmax.errors import InvalidInputError
-from divmax.matroids import W_MAX, _slack_brute, validate_rank_table
+from divmax.matroids import W_MAX, Matroid, validate_rank_table
 
 from conftest import (
     RankOnly,
@@ -124,6 +124,19 @@ class TestRankAxioms:
         # Submodularity violation: r({0})=0 but r({0,1}) - r({1}) = 1.
         with pytest.raises(InvalidInputError):
             validate_rank_table([0, 0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "ranks, axiom",
+        [
+            ([1, 1, 1, 1], "empty set"),
+            ([0, 1, 0, 0], "not monotone"),
+            ([0, 1, 1, 3], "unit increase"),
+            ([0, 0, 0, 1], "not submodular at mask 0 with elements 0, 1"),
+        ],
+    )
+    def test_each_axiom_is_named(self, ranks, axiom):
+        with pytest.raises(InvalidInputError, match=axiom):
+            validate_rank_table(ranks)
 
 
 class TestGreedyLMO:
@@ -343,7 +356,7 @@ class TestGraphicSlack:
     def test_matches_brute_force(self, seed):
         m, x, i, j, window, prefix = random_graphic_window(seed)
         res = divmax.slack_minimize(m, x, i, j, window, prefix)
-        ref = _slack_brute(m, x, i, j, window, prefix)
+        ref = Matroid._slack(m, x, i, j, window, prefix)
         assert abs(res.min_slack - ref.min_slack) <= 1e-12 * (1 + m.full_rank)
         assert i in res.argmin and j not in res.argmin and res.argmin <= window
         # The minimal minimizer; float rounding can make brute force pick a
@@ -364,7 +377,7 @@ class TestGraphicSlack:
         res = divmax.slack_minimize(m, x, 1, None, {1, 2, 3, 4, 5}, prefix={0})
         assert res.argmin == frozenset({1, 2, 3, 4, 5})
         assert res.min_slack == pytest.approx(3 - x.sum())
-        ref = _slack_brute(m, x, 1, None, {1, 2, 3, 4, 5}, frozenset({0}))
+        ref = Matroid._slack(m, x, 1, None, {1, 2, 3, 4, 5}, frozenset({0}))
         assert (res.min_slack, res.argmin) == (ref.min_slack, ref.argmin)
 
     def test_large_window_is_exact(self):

@@ -85,3 +85,22 @@ def test_uniform_matroid_is_a_one_block_partition_matroid():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_uniform_only_branch(path):
     assert not re.search(r"isinstance\([^()]*UniformMatroid", path.read_text(encoding="utf-8"))
+
+
+MATROID_CLASSES = ("Matroid", "PartitionMatroid", "UniformMatroid", "GraphicMatroid", "ExplicitRankMatroid")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_each_matroid_kind_answers_its_own_queries(path):
+    # A kind's queries are its own methods: no module tests for a matroid
+    # class, and none of the retired incremental-oracle names is left.
+    text = path.read_text(encoding="utf-8")
+    assert not re.search(r"isinstance\([^()]*\b(%s)\b" % "|".join(MATROID_CLASSES), text)
+    for name in ("incremental", "try_add", "rank_mask", "_feasible_swaps"):
+        assert not re.search(rf"\b{name}\b", text), name
+
+
+def test_baselines_import_no_concrete_matroid():
+    tree = ast.parse((SRC / "baselines.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported & set(MATROID_CLASSES[1:]) == set()
