@@ -48,7 +48,9 @@ def brute_force_opt(dm: DistanceMatrix, m: Matroid, w=None) -> SubsetResult:
     some basis is optimal.  (The same monotonicity lets the relaxation solve
     the top slice alone.)  The matroid lists its bases in lexicographic
     order (`Matroid._bases`: per-block products for partition matroids,
-    uniform ones included, and a rank-oracle DFS otherwise).  They are
+    uniform ones included; the k-combinations that are forests, or of
+    table rank k, for graphic and explicit-rank matroids, as array work;
+    and a rank-oracle DFS otherwise).  They are
     scored in slices of _BATCH rows, as D[X, X].sum() + w[X].sum() per row,
     so the gathered distances do not grow with their number.  The result
     is the first basis whose value is at least max - 1e-12 * |max|; the
@@ -89,9 +91,10 @@ def local_search_half(
     keeps S = D[:, B].sum(1) and scores every swap B - a + b at once as
     the k x (n-k) gain matrix G[a, b] = 2 (S[b] - D[a, b] - S[a]) + w_b - w_a,
     with the swaps that `Matroid._swap_mask` rules out at -inf: O(n k)
-    array work per sweep, plus k (n-k) rank calls for kinds that answer
-    from the rank oracle (partition matroids, uniform ones included, count
-    blocks instead).  The search stops unless max G > 1e-12 |g(B)|, and
+    array work per sweep.  Partition (uniform included), graphic and
+    explicit-rank matroids answer the mask without rank calls; kinds known
+    only by their rank oracle make k (n-k) of them.  The search stops
+    unless max G > 1e-12 |g(B)|, and
     otherwise applies the first (a, b) in row-major order with
     G >= max G - 1e-12 |g(B)|.  The relative rule makes the path
     independent of the scale of D and w.

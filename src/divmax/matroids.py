@@ -11,12 +11,19 @@ and each kind overrides those it answers faster:
                     union-find forest; explicit rank: table lookups)
   * `_slack`     -- min of r(prefix|T) - x(prefix|T) over windowed T that
                     contain i and avoid j (partition: block counts; graphic:
-                    one minimum cut per contracted vertex; otherwise the
-                    subsets of a window of at most W_MAX elements)
+                    one minimum cut per contracted vertex; explicit rank:
+                    the table read at every window subset at once; otherwise
+                    the subsets of a window of at most W_MAX elements, one
+                    rank call each)
   * `_bases`     -- every basis in lexicographic order (partition: per-block
-                    combinations; otherwise a rank-oracle DFS)
+                    combinations; graphic: the k-combinations that a
+                    row-parallel union-find finds acyclic; explicit rank:
+                    the k-combinations of rank k in the table; otherwise a
+                    rank-oracle DFS)
   * `_swap_mask` -- the swaps B - a + b that give a basis (partition: block
-                    counts; otherwise one rank call each)
+                    counts; graphic: b joins the two trees of B - a;
+                    explicit rank: table lookups; otherwise one rank call
+                    each)
 
 Tie-breaking is deterministic everywhere: smaller subsets first, then
 lexicographic by sorted element tuple; per-size selections prefer larger x
@@ -34,7 +41,8 @@ import numpy as np
 
 from .errors import InternalInvariantError, InvalidInputError
 
-# Hard cap on brute-force subset windows (explicit rank tables, rank-only kinds).
+# Hard cap on the elements of an explicit rank table and on the windows
+# that rank-only kinds search subset by subset.
 W_MAX = 20
 # Residual capacities at or below this fraction of a network's total
 # capacity count as saturated when a minimal minimum cut is read off.
@@ -55,6 +63,21 @@ def _find(parent: list, a: int) -> int:
         parent[a] = parent[parent[a]]
         a = parent[a]
     return a
+
+
+def _climb(parent: np.ndarray, at: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Roots of vertices v in a stack of union-find parent arrays, row `at` each."""
+    while True:
+        up = parent[at, v]
+        if (up == v).all():
+            return v
+        v = up
+
+
+def _combinations(elements, k: int) -> np.ndarray:
+    """The k-subsets of `elements`, one int8 row each, in lexicographic order."""
+    rows = np.fromiter(chain.from_iterable(combinations(elements, k)), dtype=np.int8)
+    return rows.reshape(comb(len(elements), k), k)
 
 
 class Matroid:
@@ -234,10 +257,7 @@ class PartitionMatroid(Matroid):
         combinations already come in lexicographic order; a product is
         sorted.
         """
-        per_block = [
-            np.fromiter(chain.from_iterable(combinations(b, c)), dtype=np.int8).reshape(comb(len(b), c), c)
-            for b, c in zip(self.blocks, self.capacities)
-        ]
+        per_block = [_combinations(b, c) for b, c in zip(self.blocks, self.capacities)]
         if len(per_block) == 1:
             return per_block[0]
         picks = np.indices([len(p) for p in per_block]).reshape(len(per_block), -1)
@@ -307,6 +327,10 @@ class GraphicMatroid(Matroid):
         self.num_vertices = int(num_vertices)
         self.edges = tuple(edges)
         self.n = len(edges)
+        # Edge ends with the vertices numbered in the order edges first touch them.
+        label: dict = {}
+        ends = [label.setdefault(v, len(label)) for e in edges for v in e]
+        self._ends = np.array(ends, dtype=np.min_scalar_type(len(label))).reshape(-1, 2)
 
     def rank(self, subset) -> int:
         s = _as_set(subset, self.n)
@@ -413,6 +437,41 @@ class GraphicMatroid(Matroid):
         val = self.rank(prefix_list + [i] + combo) - mass
         return SlackResult(float(val), frozenset(members))
 
+    def _bases(self, k: int) -> np.ndarray:
+        """The k-combinations of edges that hold no cycle."""
+        rows = _combinations(range(self.n), k)
+        return rows[self._forests(rows)[0]]
+
+    def _swap_mask(self, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
+        """B - a + b is a basis iff B - a is a forest and b joins two of its trees."""
+        k = len(inside)
+        # Row a lists B without its a-th edge.
+        skip = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
+        forest, parent = self._forests(inside[skip])
+        at = np.arange(k)[:, None]
+        ends = self._ends[outside]
+        return forest[:, None] & (_climb(parent, at, ends[:, 0]) != _climb(parent, at, ends[:, 1]))
+
+    def _forests(self, rows: np.ndarray):
+        """Row-parallel union-find over rows of edge indices.
+
+        Each row owns a parent array over the vertices.  Column by column,
+        both ends of every row's edge climb to their roots by pointer
+        jumping, and the first root is linked under the second; an edge
+        whose ends share a root closes a cycle.  Returns which rows are
+        forests, and the parent arrays.
+        """
+        h = int(self._ends.max()) + 1
+        parent = np.tile(np.arange(h, dtype=self._ends.dtype), (len(rows), 1))
+        at = np.arange(len(rows))
+        forest = np.ones(len(rows), dtype=bool)
+        for col in rows.T:
+            ends = self._ends[col]
+            ru, rv = _climb(parent, at, ends[:, 0]), _climb(parent, at, ends[:, 1])
+            forest &= ru != rv
+            parent[at, ru] = rv
+        return forest, parent
+
 
 def _residual_tree(res, source, tol):
     """Breadth-first predecessors over residual capacities above tol; -1 if unreached."""
@@ -486,6 +545,51 @@ class ExplicitRankMatroid(Matroid):
                 if len(taken) == alpha:
                     break
         return taken
+
+    def _slack(self, x, i, j, window, prefix) -> SlackResult:
+        """Every subset of the window at once, read off the table.
+
+        The subsets of the pool (the window without i and j) are numbered
+        by bitmask, bit b for the b-th smallest pool element, and their
+        masses and table masks are filled one bit at a time: the subsets
+        holding bit b are those below 2^b plus that element.  So each mass
+        adds its terms from the smallest element up, as `Matroid._slack`
+        sums a combination, and every value is bit-identical to its own.
+        Among exact minima the fewest elements win, then the first sorted
+        tuple: the set the default's enumeration keeps.
+        """
+        pool = sorted(window - {i, j})
+        prefix_list = sorted(prefix)
+        base_mass = float(sum(x[e] for e in prefix_list)) + x[i]
+        mass = np.zeros(1 << len(pool))
+        masks = np.empty(1 << len(pool), dtype=np.intp)
+        masks[0] = sum(1 << e for e in prefix_list) | 1 << i
+        for b, e in enumerate(pool):
+            mass[1 << b : 2 << b] = mass[: 1 << b] + x[e]
+            masks[1 << b : 2 << b] = masks[: 1 << b] | 1 << e
+        vals = self.ranks[masks] - (base_mass + mass)
+        ties = np.flatnonzero(vals == vals.min())
+        # The first sorted tuple of a size holds the smallest element where
+        # two sets differ: the largest bit row read from bit 0.
+        bits = ties[:, None] >> np.arange(len(pool)) & 1
+        best = int(ties[np.lexsort([*-bits.T[::-1], bits.sum(axis=1)])[0]])
+        members = [i] + [e for b, e in enumerate(pool) if best >> b & 1]
+        return SlackResult(float(vals[best]), frozenset(members))
+
+    def _bases(self, k: int) -> np.ndarray:
+        """The k-combinations whose table entry is k."""
+        rows = _combinations(range(self.n), k)
+        bit = 1 << np.arange(self.n)
+        masks = np.zeros(len(rows), dtype=np.intp)
+        for col in rows.T:
+            masks |= bit[col]
+        return rows[self.ranks[masks] == k]
+
+    def _swap_mask(self, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
+        """The table entry of B - a + b is |B|."""
+        bit = 1 << np.arange(self.n)
+        without = bit[inside].sum() ^ bit[inside]
+        return self.ranks[without[:, None] | bit[outside]] == len(inside)
 
     @classmethod
     def from_matroid(cls, m: Matroid, *, truncate_to: int | None = None):
@@ -572,8 +676,9 @@ def slack_minimize(m: Matroid, x, i, j, window, prefix=frozenset()) -> SlackResu
     subsets containing i).  `prefix` must be disjoint from the window; the
     returned argmin is T itself, not prefix|T.  The search is the matroid's
     own `_slack`: partition and graphic matroids search a window of any
-    size, and other kinds enumerate its subsets, which needs a window of at
-    most W_MAX elements.
+    size, explicit rank tables read every subset of the window off the
+    table at once, and other kinds enumerate its subsets with one rank call
+    each, which needs a window of at most W_MAX elements.
     """
     x = np.asarray(x, dtype=float)
     window_set = _as_set(window, m.n)

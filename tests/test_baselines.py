@@ -303,7 +303,7 @@ class TestBaselineContract:
             res = divmax.local_search_half(scaled, m, w=cw)
             assert (res.elements, res.swaps) == (local.elements, local.swaps), c
 
-    @pytest.mark.parametrize("kind", ["uniform", "partition"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_no_rank_calls(self, kind):
         dm, m, w = kind_instance(kind, 5, scores=True)
 

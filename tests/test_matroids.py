@@ -395,6 +395,118 @@ class TestGraphicSlack:
         assert res.argmin == frozenset(range(20))
 
 
+def random_multigraph(seed):
+    """Graphic matroid of a random multigraph on at most 11 edges.
+
+    Every graph has the parallel pair (0, 1), (0, 1); odd seeds add a loop
+    and an isolated vertex, and every third seed a second component.  The
+    random edges add more loops and parallel edges of their own.
+    """
+    rng = np.random.default_rng(seed)
+    v = int(rng.integers(2, 6))
+    edges = [(0, 1), (0, 1)]
+    edges += [tuple(int(a) for a in rng.integers(0, v, 2)) for _ in range(int(rng.integers(1, 7)))]
+    if seed % 2:
+        edges.append((v - 1, v - 1))
+    if seed % 3 == 0:
+        edges += [(v, v + 1), (v + 1, v + 2)]
+        v += 3
+    return divmax.GraphicMatroid(v + seed % 2, [edges[p] for p in rng.permutation(len(edges))])
+
+
+class Counting(divmax.ExplicitRankMatroid):
+    """An explicit rank table that counts its rank calls."""
+
+    calls = 0
+
+    def rank(self, subset):
+        Counting.calls += 1
+        return super().rank(subset)
+
+
+class TestExplicitSlack:
+    @pytest.mark.parametrize("seed", range(400))
+    def test_matches_default_bits(self, seed):
+        # A tabulated multigraph, truncated on every third seed.  Odd seeds
+        # draw x from quarters, so distinct sets tie exactly, and x is
+        # scaled by 1e-8, 1 or 1e8.
+        rng = np.random.default_rng(seed)
+        g = random_multigraph(seed + 1000)
+        truncate_to = max(g.full_rank - 1, 1) if seed % 3 == 0 else None
+        m = divmax.ExplicitRankMatroid.from_matroid(g, truncate_to=truncate_to)
+        scale = (1e-8, 1.0, 1e8)[seed // 2 % 3]
+        x = scale * (rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=m.n) if seed % 2 else rng.random(m.n))
+        perm = [int(e) for e in rng.permutation(m.n)]
+        cut = int(rng.integers(0, m.n // 2 + 1))
+        prefix, window = frozenset(perm[:cut]), frozenset(perm[cut:])
+        i = perm[cut]
+        j = perm[cut + 1] if cut + 1 < m.n and seed % 4 < 3 else None
+        res = divmax.slack_minimize(m, x, i, j, window, prefix)
+        ref = Matroid._slack(m, x, i, j, window, prefix)
+        assert float(res.min_slack).hex() == float(ref.min_slack).hex()
+        assert res.argmin == ref.argmin
+
+    @pytest.mark.parametrize(
+        "blocks, x, argmin",
+        [
+            # T = {0, 3} and {0, 1, 2} both round to 2 - (0.1 + 1.0); the
+            # smaller set wins although its bitmask comes later.
+            ([[0], [1, 2], [3], [4]], [0.1, 0.9, 0.1, 1.0, 1.0], {0, 3}),
+            # {0, 1, 4} and {0, 2, 3} tie the same way; the first sorted
+            # tuple wins although its bitmask comes later.
+            ([[0], [1, 4], [2, 3], [5]], [0.1, 0.9, 0.9, 0.1, 0.1, 0.9], {0, 1, 4}),
+        ],
+    )
+    def test_unnested_float_ties(self, blocks, x, argmin):
+        # In exact arithmetic the minimizers are closed under union and
+        # intersection, so the smallest is unique and has the first bitmask.
+        # Rounding can tie sets that are not nested; the default keeps the
+        # first one it enumerates.
+        m = divmax.ExplicitRankMatroid.from_matroid(divmax.PartitionMatroid(blocks, [1] * len(blocks)))
+        x = np.array(x)
+        res = divmax.slack_minimize(m, x, 0, None, range(m.n))
+        assert res == Matroid._slack(m, x, 0, None, frozenset(range(m.n)), frozenset())
+        assert res.argmin == frozenset(argmin)
+
+    def test_sixteen_element_window(self):
+        g = divmax.GraphicMatroid(7, list(itertools.combinations(range(7), 2))[:16])
+        m = divmax.ExplicitRankMatroid.from_matroid(g)
+        x = np.random.default_rng(0).choice([0.25, 0.5, 0.75], size=16)
+        res = divmax.slack_minimize(m, x, 3, None, range(16))
+        ref = Matroid._slack(m, x, 3, None, frozenset(range(16)), frozenset())
+        assert (float(res.min_slack).hex(), res.argmin) == (float(ref.min_slack).hex(), ref.argmin)
+
+    def test_makes_no_rank_calls(self):
+        g = divmax.GraphicMatroid(5, list(itertools.combinations(range(5), 2)))
+        m = Counting(divmax.ExplicitRankMatroid.from_matroid(g).ranks)
+        x = np.full(m.n, 0.4)
+        Counting.calls = 0
+        res = divmax.slack_minimize(m, x, 2, 7, range(1, m.n), prefix={0})
+        assert Counting.calls == 0
+        assert res == Matroid._slack(m, x, 2, 7, frozenset(range(1, m.n)), frozenset({0}))
+
+
+class TestBasesAndSwaps:
+    @pytest.mark.parametrize("seed", range(120))
+    def test_match_rank_oracle_defaults(self, seed):
+        # Graphic matroids and their tabulations, truncated on odd seeds.
+        # Swaps are asked of a basis and of a random subset, which may be
+        # dependent; B - a + b must then be independent to count.
+        rng = np.random.default_rng(seed)
+        g = random_multigraph(seed)
+        table = divmax.ExplicitRankMatroid.from_matroid(g, truncate_to=max(g.full_rank - seed % 2, 1))
+        for m in (g, table):
+            k = m.full_rank
+            bases = m._bases(k)
+            np.testing.assert_array_equal(bases, Matroid._bases(m, k), strict=True)
+            some = np.flatnonzero(rng.random(m.n) < 0.5)
+            for inside in (bases[rng.integers(len(bases))].astype(np.intp), some):
+                outside = np.setdiff1d(np.arange(m.n), inside)
+                np.testing.assert_array_equal(
+                    m._swap_mask(inside, outside), Matroid._swap_mask(m, inside, outside), strict=True
+                )
+
+
 class TestPolytopeMembership:
     def test_uniform_inside_and_outside(self):
         m = divmax.UniformMatroid(4, 2)
