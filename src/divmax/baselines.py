@@ -47,10 +47,11 @@ def brute_force_opt(dm: DistanceMatrix, m: Matroid, w=None) -> SubsetResult:
     never lowers the value, and every independent set lies in a basis, so
     some basis is optimal.  (The same monotonicity lets the relaxation solve
     the top slice alone.)  The matroid lists its bases in lexicographic
-    order (`Matroid._bases`: per-block products for partition matroids,
-    uniform ones included; the k-combinations that are forests, or of
-    table rank k, for graphic and explicit-rank matroids, as array work;
-    and a rank-oracle DFS otherwise).  They are
+    order (`Matroid._bases`): per-block products for partition matroids,
+    uniform ones included, and otherwise the k-combinations that
+    `Matroid._independent` keeps, as array work for graphic (forests) and
+    explicit-rank (table rank k) matroids, and with one rank call each for
+    kinds known only by their rank oracle.  They are
     scored in slices of _BATCH rows, as D[X, X].sum() + w[X].sum() per row,
     so the gathered distances do not grow with their number.  The result
     is the first basis whose value is at least max - 1e-12 * |max|; the
@@ -91,10 +92,11 @@ def local_search_half(
     keeps S = D[:, B].sum(1) and scores every swap B - a + b at once as
     the k x (n-k) gain matrix G[a, b] = 2 (S[b] - D[a, b] - S[a]) + w_b - w_a,
     with the swaps that `Matroid._swap_mask` rules out at -inf: O(n k)
-    array work per sweep.  Partition (uniform included), graphic and
-    explicit-rank matroids answer the mask without rank calls; kinds known
-    only by their rank oracle make k (n-k) of them.  The search stops
-    unless max G > 1e-12 |g(B)|, and
+    array work per sweep.  Partition (uniform included) and graphic
+    matroids answer the mask in closed form; otherwise `Matroid._independent`
+    tests the k (n-k) sets B - a + b, by one table read for explicit-rank
+    matroids and one rank call each for kinds known only by their rank
+    oracle.  The search stops unless max G > 1e-12 |g(B)|, and
     otherwise applies the first (a, b) in row-major order with
     G >= max G - 1e-12 |g(B)|.  The relative rule makes the path
     independent of the scale of D and w.

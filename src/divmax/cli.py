@@ -8,6 +8,7 @@ floats); element lists in serialized output are 1-based.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -339,7 +340,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `divmax` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="divmax",
         description="Max-sum diversification under matroid constraints on negative-type distances.",

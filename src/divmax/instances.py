@@ -10,9 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
+from .geometry import NORM_KINDS, SET_KINDS
 from .io import InstanceDoc
-
-NORM_DEFAULT_KINDS = ("l1", "l2", "lp", "cosine")
 
 
 def _matroid_spec(rng: np.random.Generator, n: int, matroid, k) -> dict:
@@ -63,7 +62,7 @@ def gen_random_points(
     if dim < 1:
         raise InvalidInputError("need dim >= 1")
     rng = np.random.default_rng(rng_seed)
-    if kind in NORM_DEFAULT_KINDS:
+    if kind in NORM_KINDS:
         if point_dist == "gaussian":
             pts = rng.standard_normal((n, dim))
         elif point_dist == "uniform":
@@ -80,7 +79,7 @@ def gen_random_points(
         distance = {"kind": kind, "points": [[float(v) for v in row] for row in pts]}
         if kind == "lp":
             distance["p"] = float(p if p is not None else 1.5)
-    elif kind in ("jaccard", "dice", "simple_matching", "russell_rao"):
+    elif kind in SET_KINDS:
         sets = []
         for _ in range(n):
             if set_size is not None:

@@ -3,9 +3,12 @@
 Supported matroid kinds: partition, uniform (a partition matroid with one
 block), graphic (ground set = edges), and explicit rank tables for small
 ground sets.  Besides `rank`, the solver, the rounding and the baselines ask
-a matroid four queries.  `Matroid` answers each from the rank oracle alone,
-and each kind overrides those it answers faster:
+a matroid a few private queries.  `Matroid` answers each from the rank
+oracle alone, and each kind overrides those it answers faster:
 
+  * `_independent` -- which rows of elements are independent sets, one rank
+                    call per row (graphic: a row-parallel union-find;
+                    explicit rank: one table read of the rows' bitmasks)
   * `_greedy`    -- greedy independent set along an order, up to alpha
                     elements (partition: block counts; graphic: a
                     union-find forest; explicit rank: table lookups)
@@ -15,15 +18,11 @@ and each kind overrides those it answers faster:
                     the table read at every window subset at once; otherwise
                     the subsets of a window of at most W_MAX elements, one
                     rank call each)
-  * `_bases`     -- every basis in lexicographic order (partition: per-block
-                    combinations; graphic: the k-combinations that a
-                    row-parallel union-find finds acyclic; explicit rank:
-                    the k-combinations of rank k in the table; otherwise a
-                    rank-oracle DFS)
-  * `_swap_mask` -- the swaps B - a + b that give a basis (partition: block
-                    counts; graphic: b joins the two trees of B - a;
-                    explicit rank: table lookups; otherwise one rank call
-                    each)
+
+`is_independent`, the bases (`_bases`) and the swaps B - a + b that give a
+basis (`_swap_mask`) follow from `_independent`.  Partition bases and swaps
+keep closed forms (block products and counts), as do graphic swaps: k
+forests B - a, not k (n - k) forests B - a + b.
 
 Tie-breaking is deterministic everywhere: smaller subsets first, then
 lexicographic by sorted element tuple; per-size selections prefer larger x
@@ -65,6 +64,15 @@ def _find(parent: list, a: int) -> int:
     return a
 
 
+def _link(parent: list, u: int, v: int) -> bool:
+    """Join the trees of u and v in a union-find forest; False if they were one tree."""
+    ru, rv = _find(parent, u), _find(parent, v)
+    if ru == rv:
+        return False
+    parent[ru] = rv
+    return True
+
+
 def _climb(parent: np.ndarray, at: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Roots of vertices v in a stack of union-find parent arrays, row `at` each."""
     while True:
@@ -80,6 +88,12 @@ def _combinations(elements, k: int) -> np.ndarray:
     return rows.reshape(comb(len(elements), k), k)
 
 
+def _without_each(inside: np.ndarray) -> np.ndarray:
+    """Row a holds B without its a-th element, for the k elements of B."""
+    k = len(inside)
+    return inside[np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])]
+
+
 class Matroid:
     """Abstract rank oracle over ground set {0, ..., n-1}; the queries below use only `rank`."""
 
@@ -90,8 +104,8 @@ class Matroid:
         raise NotImplementedError
 
     def is_independent(self, subset) -> bool:
-        s = _as_set(subset, self.n)
-        return self.rank(s) == len(s)
+        row = np.array([sorted(_as_set(subset, self.n))], dtype=np.intp)
+        return bool(self._independent(row)[0])
 
     @property
     def full_rank(self) -> int:
@@ -133,43 +147,21 @@ class Matroid:
                     best_members = members
         return SlackResult(float(best_val), frozenset(best_members))
 
+    def _independent(self, rows: np.ndarray) -> np.ndarray:
+        """Which rows of element indices are independent sets, one rank call each."""
+        return np.array([self.rank(row) == len(row) for row in rows.tolist()], dtype=bool)
+
     def _bases(self, k: int) -> np.ndarray:
-        """Every basis of rank k, one sorted int8 row each, in lexicographic order.
-
-        A rank-oracle DFS extends an independent set by increasing elements
-        and leaves a branch once the elements still available cannot raise
-        it to rank k: if S + e is independent and r(S | {e, ..., n-1}) = k,
-        augmentation extends S + e to a basis, so every branch taken ends
-        in one.
-        """
-        n = self.n
-        current: list[int] = []
-
-        def visit(start: int):
-            if len(current) == k:
-                yield from current
-                return
-            for e in range(start, n):
-                if self.rank(current + list(range(e, n))) < k:
-                    return
-                current.append(e)
-                if self.rank(current) == len(current):
-                    yield from visit(e + 1)
-                current.pop()
-
-        return np.fromiter(visit(0), dtype=np.int8).reshape(-1, k)
+        """Every basis of rank k, one sorted int8 row each, in lexicographic order."""
+        rows = _combinations(range(self.n), k)
+        return rows[self._independent(rows)]
 
     def _swap_mask(self, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
         """Mask of the swaps B - a + b that give a basis: rows a in B, columns b not."""
         k = len(inside)
-        members = inside.tolist()
-        return np.array(
-            [
-                [self.rank(members[:r] + members[r + 1:] + [b]) == k for b in outside.tolist()]
-                for r in range(k)
-            ],
-            dtype=bool,
-        ).reshape(k, len(outside))
+        rows = np.hstack([np.repeat(_without_each(inside), len(outside), axis=0),
+                          np.tile(outside, k)[:, None]])
+        return self._independent(rows).reshape(k, len(outside))
 
 
 def _as_set(subset, n: int) -> frozenset:
@@ -333,26 +325,15 @@ class GraphicMatroid(Matroid):
         self._ends = np.array(ends, dtype=np.min_scalar_type(len(label))).reshape(-1, 2)
 
     def rank(self, subset) -> int:
-        s = _as_set(subset, self.n)
         parent = list(range(self.num_vertices))
-        r = 0
-        for e in sorted(s):
-            u, v = self.edges[e]
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                parent[ru] = rv
-                r += 1
-        return r
+        return sum(_link(parent, *self.edges[e]) for e in sorted(_as_set(subset, self.n)))
 
     def _greedy(self, order: np.ndarray, alpha: int) -> list:
         parent = list(range(self.num_vertices))
         edges = self.edges
         taken: list[int] = []
         for e in order:
-            u, v = edges[e]
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                parent[ru] = rv
+            if _link(parent, *edges[e]):
                 taken.append(e)
                 if len(taken) == alpha:
                     break
@@ -380,10 +361,7 @@ class GraphicMatroid(Matroid):
         """
         parent = list(range(self.num_vertices))
         for e in sorted(prefix) + [i]:
-            u, v = self.edges[e]
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                parent[ru] = rv
+            _link(parent, *self.edges[e])
         members = [i]
         arcs = []
         for e in sorted(window - {i, j}):
@@ -437,17 +415,14 @@ class GraphicMatroid(Matroid):
         val = self.rank(prefix_list + [i] + combo) - mass
         return SlackResult(float(val), frozenset(members))
 
-    def _bases(self, k: int) -> np.ndarray:
-        """The k-combinations of edges that hold no cycle."""
-        rows = _combinations(range(self.n), k)
-        return rows[self._forests(rows)[0]]
+    def _independent(self, rows: np.ndarray) -> np.ndarray:
+        """The rows of edges that hold no cycle."""
+        return self._forests(rows)[0]
 
     def _swap_mask(self, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
         """B - a + b is a basis iff B - a is a forest and b joins two of its trees."""
         k = len(inside)
-        # Row a lists B without its a-th edge.
-        skip = np.arange(k - 1) + (np.arange(k - 1) >= np.arange(k)[:, None])
-        forest, parent = self._forests(inside[skip])
+        forest, parent = self._forests(_without_each(inside))
         at = np.arange(k)[:, None]
         ends = self._ends[outside]
         return forest[:, None] & (_climb(parent, at, ends[:, 0]) != _climb(parent, at, ends[:, 1]))
@@ -576,20 +551,13 @@ class ExplicitRankMatroid(Matroid):
         members = [i] + [e for b, e in enumerate(pool) if best >> b & 1]
         return SlackResult(float(vals[best]), frozenset(members))
 
-    def _bases(self, k: int) -> np.ndarray:
-        """The k-combinations whose table entry is k."""
-        rows = _combinations(range(self.n), k)
+    def _independent(self, rows: np.ndarray) -> np.ndarray:
+        """The rows whose table entry is their length."""
         bit = 1 << np.arange(self.n)
         masks = np.zeros(len(rows), dtype=np.intp)
         for col in rows.T:
             masks |= bit[col]
-        return rows[self.ranks[masks] == k]
-
-    def _swap_mask(self, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
-        """The table entry of B - a + b is |B|."""
-        bit = 1 << np.arange(self.n)
-        without = bit[inside].sum() ^ bit[inside]
-        return self.ranks[without[:, None] | bit[outside]] == len(inside)
+        return self.ranks[masks] == rows.shape[1]
 
     @classmethod
     def from_matroid(cls, m: Matroid, *, truncate_to: int | None = None):

@@ -24,10 +24,13 @@ be taken of the form S_{l-1} | T with T inside the ring.  The number of
 fractional elements minus the number of fractional rings drops by at least
 one per step, so a run takes at most n steps.
 
-`build_chain` searches each ring once.  A step costs one slack search, one
-product D @ x (for the value and the sign), and the pair scan as array work:
-each fractional ring r is scored as the upper triangle of outer(x_r, x_r) *
-D[r, r].
+`build_chain` searches each ring once, one slack search per pair (a, b) of
+neighbours in the ring's sorted cyclic order, a in T and b not: every proper
+nonempty T inside a ring holds some a whose neighbour b it does not hold, so
+a final ring of r elements costs r searches.  A step costs one slack search,
+one product D @ x (for the value and the sign), and the pair scan as array
+work: each fractional ring r is scored as the upper triangle of
+outer(x_r, x_r) * D[r, r].
 """
 
 from __future__ import annotations
@@ -158,12 +161,13 @@ def build_chain(m: Matroid, x, *, tol: float = TIGHT_TOL) -> ChainState:
     Zero components are ignored (the support itself is tight because
     x(support) == sum(x) == r(ground set) >= r(support) >= x(support)).
     Integral elements are split off once: no piece of a ring without one
-    has one.  One forward pass then searches each ring for a proper tight
-    subset by slack minimization over the separating pairs (i0, j), (j, i0),
-    i0 the ring's first element, which suffices by uncrossing.  A found
-    subset splits the ring and the pass goes on with the lower piece; a
-    ring without one is final, as later splits change neither it nor its
-    prefix.  So each ring is searched once.
+    has one.  One forward pass then searches each ring R of >= 2 elements
+    for a proper tight subset by slack minimization over the neighbouring
+    pairs (a, b) of its sorted elements taken cyclically, a in T and b not:
+    any proper nonempty T < R has such a pair, so r searches cover every
+    T.  A found subset splits the ring and the pass goes on with the lower
+    piece; a ring without one is final, as later splits change neither it
+    nor its prefix.  So each ring is searched once.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (m.n,):
@@ -182,7 +186,7 @@ def build_chain(m: Matroid, x, *, tol: float = TIGHT_TOL) -> ChainState:
     while pos < len(chain.sets):
         prefix = chain.sets[pos - 1] if pos else frozenset()
         ring = sorted(chain.sets[pos] - prefix)
-        for a, b in [p for j in ring[1:] for p in ((ring[0], j), (j, ring[0]))]:
+        for a, b in (zip(ring, ring[1:] + ring[:1]) if len(ring) > 1 else ()):
             res = slack_minimize(m, x, a, b, ring, prefix)
             if res.min_slack <= tol:
                 # a in T, b not: a proper nonempty piece between the neighbours.

@@ -1,12 +1,13 @@
 """End-to-end CLI behavior through main(argv): exit codes, reports, files."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 import divmax
-from divmax.cli import _bound_checks, main
+from divmax.cli import _bound_checks, build_parser, main
 from divmax.io import canonical_dumps, doc_to_json
 
 NOT_NEGATIVE_TYPE = {
@@ -82,6 +83,21 @@ def solve_report(capsys, *argv):
     report = json.loads(out)
     del report["timings"]
     return report
+
+
+def test_parser_is_built_once(capsys, gap42, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser.cache_clear()
+    first = solve_report(capsys, gap42, "--trace")
+    assert first == solve_report(capsys, gap42, "--trace")
+    assert built.count("divmax") == 1
 
 
 class TestCertify:

@@ -97,6 +97,12 @@ class TestRankOracles:
         m = divmax.UniformMatroid(3, 2)
         with pytest.raises(InvalidInputError):
             m.rank([7])
+        g = divmax.GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
+        for m in (m, divmax.PartitionMatroid([[0, 1], [2]], [1, 1]), g,
+                  divmax.ExplicitRankMatroid.from_matroid(g)):
+            for e in (-1, 3):
+                with pytest.raises(InvalidInputError):
+                    m.is_independent([0, e])
 
 
 class TestRankAxioms:
@@ -489,22 +495,64 @@ class TestExplicitSlack:
 class TestBasesAndSwaps:
     @pytest.mark.parametrize("seed", range(120))
     def test_match_rank_oracle_defaults(self, seed):
-        # Graphic matroids and their tabulations, truncated on odd seeds.
+        # Graphic matroids and their tabulations, truncated on odd seeds,
+        # against the same matroid seen only through its rank oracle.
         # Swaps are asked of a basis and of a random subset, which may be
         # dependent; B - a + b must then be independent to count.
         rng = np.random.default_rng(seed)
         g = random_multigraph(seed)
         table = divmax.ExplicitRankMatroid.from_matroid(g, truncate_to=max(g.full_rank - seed % 2, 1))
         for m in (g, table):
-            k = m.full_rank
+            k, ref = m.full_rank, RankOnly(m)
             bases = m._bases(k)
-            np.testing.assert_array_equal(bases, Matroid._bases(m, k), strict=True)
+            np.testing.assert_array_equal(bases, ref._bases(k), strict=True)
             some = np.flatnonzero(rng.random(m.n) < 0.5)
             for inside in (bases[rng.integers(len(bases))].astype(np.intp), some):
                 outside = np.setdiff1d(np.arange(m.n), inside)
-                np.testing.assert_array_equal(
-                    m._swap_mask(inside, outside), Matroid._swap_mask(m, inside, outside), strict=True
-                )
+                # One rank call per swap, as the default made them before it
+                # asked `_independent`.
+                swaps = np.array(
+                    [[ref.rank([*np.delete(inside, a), b]) == len(inside) for b in outside]
+                     for a in range(len(inside))],
+                    dtype=bool,
+                ).reshape(len(inside), len(outside))
+                for mask in (m._swap_mask(inside, outside), ref._swap_mask(inside, outside)):
+                    np.testing.assert_array_equal(mask, swaps, strict=True)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_is_independent_matches_rank(self, seed):
+        # Random subsets of all four kinds, with the empty and the ground set.
+        rng = np.random.default_rng(seed)
+        g = random_multigraph(seed)
+        kinds = (
+            divmax.UniformMatroid(7, 1 + seed % 7),
+            divmax.PartitionMatroid([[0, 3], [1, 4, 5], [2, 6]], [1, 2, 1]),
+            g,
+            divmax.ExplicitRankMatroid.from_matroid(g, truncate_to=max(g.full_rank - seed % 2, 1)),
+        )
+        seen = set()
+        for m in kinds:
+            subsets = [(), range(m.n)] + [np.flatnonzero(rng.random(m.n) < 0.5) for _ in range(8)]
+            for s in subsets:
+                independent = m.is_independent(s)
+                assert independent is (m.rank(s) == len(s))
+                seen.add(independent)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_graphic_and_table_make_no_rank_calls(self, seed, monkeypatch):
+        g = random_multigraph(seed)
+        for m in (g, divmax.ExplicitRankMatroid.from_matroid(g)):
+            k = m.full_rank
+            calls = []
+            rank = type(m).rank
+            monkeypatch.setattr(type(m), "rank", lambda self, s: calls.append(s) or rank(self, s))
+            bases = m._bases(k)
+            inside = bases[0].astype(np.intp)
+            m._swap_mask(inside, np.setdiff1d(np.arange(m.n), inside))
+            m.is_independent(range(m.n))
+            m.is_independent(inside)
+            assert calls == []
 
 
 class TestPolytopeMembership:

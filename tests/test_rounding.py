@@ -79,9 +79,8 @@ class TestBuildChain:
         with pytest.raises(InvalidInputError):
             build_chain(m, np.array([1.5, 0.5, 0.0, 0.0]))  # outside [0,1]
 
-    def test_each_slack_search_made_once(self, monkeypatch):
-        # Restarting from the first ring after each split searched {0, 1}
-        # again: 14 searches, 12 of them distinct.
+    @staticmethod
+    def recorded_searches(monkeypatch):
         calls = []
         search = divmax.rounding.slack_minimize
 
@@ -90,11 +89,28 @@ class TestBuildChain:
             return search(m, x, i, j, window, prefix)
 
         monkeypatch.setattr(divmax.rounding, "slack_minimize", recording)
+        return calls
+
+    def test_each_slack_search_made_once(self, monkeypatch):
+        # Neighbouring pairs: (0, 1), (1, 2) split off {0, 1}; (0, 1), (1, 0)
+        # find {0, 1} final; (2, 3), (3, 4) split off {2, 3}; then two
+        # searches each for {2, 3} and {4, 5}.  The star pairs (i0, j),
+        # (j, i0) made 12 distinct searches, and restarting from the first
+        # ring after each split made 14.
+        calls = self.recorded_searches(monkeypatch)
         m = divmax.PartitionMatroid([[0, 1], [2, 3], [4, 5]], [1, 1, 1])
         x = np.full(6, 0.5)
         chain = build_chain(m, x)
         assert [set(r.elements) for r in chain.rings(x)] == [{0, 1}, {2, 3}, {4, 5}]
-        assert len(calls) == len(set(calls)) == 12
+        assert len(calls) == len(set(calls)) == 10
+
+    @pytest.mark.parametrize("r", [2, 3, 7, 12])
+    def test_final_ring_costs_one_search_per_element(self, monkeypatch, r):
+        # The star pairs (i0, j), (j, i0) made 2(r - 1) searches.
+        calls = self.recorded_searches(monkeypatch)
+        chain = build_chain(divmax.UniformMatroid(r, 1), np.full(r, 1 / r))
+        assert chain.sets == [frozenset(range(r))]
+        assert [(i, j) for i, j, _, _ in calls] == [(e, (e + 1) % r) for e in range(r)]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_base_points_validate(self, seed):

@@ -68,12 +68,28 @@ def _constants(path: Path) -> set:
     return {t.id for t in targets if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)}
 
 
+def _tuples(path: Path) -> dict:
+    """Module-level names the module binds to a tuple literal, with its value."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple):
+            value = ast.literal_eval(node.value)
+            out.update((t.id, value) for t in node.targets if isinstance(t, ast.Name))
+    return out
+
+
 def test_each_constant_has_one_owner():
-    owners = defaultdict(list)
+    # One owner per name, and no module copies another module's tuple.
+    owners, copies = defaultdict(list), defaultdict(set)
     for path in sorted(SRC.glob("*.py")):
         for name in _constants(path):
             owners[name].append(path.name)
+        for name, value in _tuples(path).items():
+            copies[value].add(f"{path.name}:{name}")
     assert {name: files for name, files in owners.items() if len(files) > 1} == {}
+    assert {value: places for value, places in copies.items()
+            if len({place.split(":")[0] for place in places}) > 1} == {}
 
 
 def test_uniform_matroid_is_a_one_block_partition_matroid():
@@ -104,3 +120,18 @@ def test_baselines_import_no_concrete_matroid():
     tree = ast.parse((SRC / "baselines.py").read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert imported & set(MATROID_CLASSES[1:]) == set()
+
+
+def test_derived_queries_are_overridden_only_by_closed_forms():
+    # `Matroid` derives bases, swaps and `is_independent` from `_independent`;
+    # partition bases and swaps and graphic swaps keep closed forms.
+    defined = {
+        query: [name for name in MATROID_CLASSES if query in vars(getattr(divmax, name))]
+        for query in ("_independent", "_bases", "_swap_mask", "is_independent")
+    }
+    assert defined == {
+        "_independent": ["Matroid", "GraphicMatroid", "ExplicitRankMatroid"],
+        "_bases": ["Matroid", "PartitionMatroid"],
+        "_swap_mask": ["Matroid", "PartitionMatroid", "GraphicMatroid"],
+        "is_independent": ["Matroid"],
+    }
