@@ -78,17 +78,12 @@ def brute_force_opt(dm: DistanceMatrix, m: Matroid, w=None) -> SubsetResult:
     return SubsetResult(elements=tuple(int(e) for e in bases[first]), value=float(vals[first]))
 
 
-def local_search_half(
-    dm: DistanceMatrix,
-    m: Matroid,
-    seed_basis=None,
-    w=None,
-    *,
-    max_sweeps: int | None = None,
-) -> LocalSearchResult:
+def local_search_half(dm: DistanceMatrix, m: Matroid, w=None) -> LocalSearchResult:
     """Best-improvement single-swap local search over bases.
 
-    The 1/2-approximation of Borodin, Lee & Ye (PODS 2012).  Each sweep
+    The 1/2-approximation of Borodin, Lee & Ye (PODS 2012).  It starts from
+    the greedy basis of all-zero weights (the lexicographically first
+    basis) and runs to a local optimum.  Each sweep
     keeps S = D[:, B].sum(1) and scores every swap B - a + b at once as
     the k x (n-k) gain matrix G[a, b] = 2 (S[b] - D[a, b] - S[a]) + w_b - w_a,
     with the swaps that `Matroid._swap_mask` rules out at -inf: O(n k)
@@ -99,9 +94,8 @@ def local_search_half(
     oracle.  The search stops unless max G > 1e-12 |g(B)|, and
     otherwise applies the first (a, b) in row-major order with
     G >= max G - 1e-12 |g(B)|.  The relative rule makes the path
-    independent of the scale of D and w.
-    Terminates at a local optimum; offered as an empirical comparison
-    baseline for the relax-and-round pipeline.
+    independent of the scale of D and w.  Offered as an empirical
+    comparison baseline for the relax-and-round pipeline.
     """
     n = m.n
     if dm.n != n:
@@ -109,18 +103,10 @@ def local_search_half(
     k = m.full_rank
     d = dm.d
     w_vec = _score_vector(w, n)
-    in_basis = np.zeros(n, dtype=bool)
-    if seed_basis is None:
-        if k:
-            in_basis = greedy_basis_lmo(m, k, np.zeros(n)) > 0
-    else:
-        basis = set(int(e) for e in seed_basis)
-        if len(basis) != k or not m.is_independent(basis):
-            raise InvalidInputError("seed must be a basis of the matroid")
-        in_basis[list(basis)] = True
+    in_basis = greedy_basis_lmo(m, k, np.zeros(n)) > 0 if k else np.zeros(n, dtype=bool)
 
     swaps = 0
-    while max_sweeps is None or swaps < max_sweeps:
+    while True:
         inside, outside = np.flatnonzero(in_basis), np.flatnonzero(~in_basis)
         s = d[:, inside].sum(axis=1)
         gain = (

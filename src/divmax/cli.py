@@ -13,8 +13,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import baselines as _baselines
 from . import instances as _instances
 from .errors import (
@@ -52,7 +50,7 @@ def _one_based(elements) -> list:
 def _parse_scores_flag(raw: str, n: int):
     """--scores accepts "none", an inline JSON array, or a path to one."""
     if raw == "none":
-        return "drop"
+        return None
     if raw.lstrip().startswith("["):
         try:
             data = json.loads(raw)
@@ -64,7 +62,7 @@ def _parse_scores_flag(raw: str, n: int):
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidInputError(f"cannot load scores from {raw}: {exc}")
-    return np.asarray(parse_scores(data, n))
+    return parse_scores(data, n)
 
 
 def _certificate_dict(cert, forced: bool = False) -> dict:
@@ -135,57 +133,30 @@ def _timed(fn, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
-def _solve_pipeline(doc, *, gap_tol: float, force: bool, w_override=None):
+def _solve_report(args) -> dict:
     """Certify, relax, round and run both baselines on one document.
 
-    Returns (dm, matroid, w, cert, relax, rounded, local, exact, timings);
-    `exact` is None and its time 0 when n exceeds the brute-force limit.
+    The report of `divmax solve`, which `divmax compare` also tabulates.
+    `baselines.exact` is None and `exact_s` 0 when n exceeds the
+    brute-force limit.
     """
+    doc = _load_doc(args.instance)
+    if args.scores is not None:
+        doc.scores = _parse_scores_flag(args.scores, doc.n)
+    total0 = time.perf_counter()
     dm, matroid, w = materialize(doc)
-    if w_override is not None:
-        w = None if isinstance(w_override, str) else w_override
 
+    # The first certification of dm computes the verdict; the solver's own
+    # checks below reuse it.
     cert, t_cert = _timed(certify_negative_type, dm)
-    if not cert.is_negative_type and not force:
-        raise CertificationError(
-            "distance is not of negative type (min eigenvalue "
-            f"{cert.min_eigenvalue:.6g}); rerun with --force to solve anyway "
-            "(this voids the approximation guarantee)"
-        )
-    relax, t_relax = _timed(
-        sweep_slices, dm, matroid, w=w, gap_tol=gap_tol, certificate=cert, force=force
-    )
-    rounded, t_round = _timed(
-        round_to_basis, dm, matroid, relax.best.point.x, w=w, certificate=cert, force=force
-    )
+    relax, t_relax = _timed(sweep_slices, dm, matroid, w=w, gap_tol=args.gap, force=args.force)
+    best, k = relax.best, matroid.full_rank
+    x_star = best.point.x
+    rounded, t_round = _timed(round_to_basis, dm, matroid, x_star, w=w, force=args.force)
     local, t_local = _timed(_baselines.local_search_half, dm, matroid, w=w)
     exact, t_exact = None, 0.0
     if dm.n <= _baselines.BRUTE_FORCE_MAX_N:
         exact, t_exact = _timed(_baselines.brute_force_opt, dm, matroid, w=w)
-    timings = {
-        "certify_s": t_cert,
-        "relax_s": t_relax,
-        "round_s": t_round,
-        "local_search_s": t_local,
-        "exact_s": t_exact,
-        "baselines_s": t_local + t_exact,
-    }
-    return dm, matroid, w, cert, relax, rounded, local, exact, timings
-
-
-def cmd_solve(args) -> int:
-    doc = _load_doc(args.instance)
-    w_override = None
-    if args.scores is not None:
-        parsed = _parse_scores_flag(args.scores, doc.n)
-        w_override = parsed  # "drop" string or array
-    total0 = time.perf_counter()
-    dm, matroid, w, cert, relax, rounded, local, exact, timings = _solve_pipeline(
-        doc, gap_tol=args.gap, force=args.force, w_override=w_override,
-    )
-    best = relax.best
-    x_star = best.point.x
-    k = matroid.full_rank
     value_x_star = float(best.value)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -221,12 +192,24 @@ def cmd_solve(args) -> int:
             else {"elements": _one_based(exact.elements), "value": float(exact.value)},
         },
         "bound_checks": _bound_checks(dm, w, k, x_star, value_x_star, float(rounded.value)),
-        "timings": {**timings, "total_s": time.perf_counter() - total0},
+        "timings": {
+            "certify_s": t_cert,
+            "relax_s": t_relax,
+            "round_s": t_round,
+            "local_search_s": t_local,
+            "exact_s": t_exact,
+            "baselines_s": t_local + t_exact,
+            "total_s": time.perf_counter() - total0,
+        },
     }
     if args.trace:
         report["rounding"]["steps"] = _step_dicts(rounded.trace)
         report["rounding"]["reverse_bounds"] = [float(v) for v in rounded.trace.reverse_bounds]
-    _emit(canonical_dumps(report), args.out)
+    return report
+
+
+def cmd_solve(args) -> int:
+    _emit(canonical_dumps(_solve_report(args)), args.out)
     return 0
 
 
@@ -251,40 +234,36 @@ def _ratio(num: float, den: float) -> str:
 
 
 def cmd_compare(args) -> int:
-    doc = _load_doc(args.instance)
-    dm, matroid, w, _, relax, rounded, local, exact, _ = _solve_pipeline(
-        doc, gap_tol=args.gap, force=args.force
-    )
-    k = matroid.full_rank
-    ub = float(relax.opt_upper_bound)
-    value_x_star = float(relax.best.value)
+    report = _solve_report(args)
+    ub = report["opt_upper_bound"]
+    fractional = report["best_slice"]["value"]
+    rounded = report["rounding"]["value"]
+    local = report["baselines"]["local_search"]["value"]
+    exact = report["baselines"]["exact"]
+    checks = report["bound_checks"]
     rows = [
         ("relaxation bound", ub),
-        ("fractional value", value_x_star),
-        ("rounded basis", float(rounded.value)),
-        ("local search", float(local.value)),
+        ("fractional value", fractional),
+        ("rounded basis", rounded),
+        ("local search", local),
     ]
+    ratios = [("rounded / bound", rounded, ub), ("rounded / fractional", rounded, fractional)]
     if exact is not None:
-        rows.append(("exact optimum", float(exact.value)))
+        rows.append(("exact optimum", exact["value"]))
+        ratios += [("rounded / exact", rounded, exact["value"]), ("local   / exact", local, exact["value"])]
 
-    lines = [f"n={dm.n}  k={k}  scores={'yes' if w is not None else 'no'}", ""]
+    scored = "yes" if report["instance"]["has_scores"] else "no"
+    lines = [f"n={report['instance']['n']}  k={checks['k']}  scores={scored}", ""]
     width = max(len(name) for name, _ in rows)
-    for name, val in rows:
-        lines.append(f"  {name:<{width}}  {val:.6g}")
+    lines += [f"  {name:<{width}}  {val:.6g}" for name, val in rows]
     lines.append("")
-    lines.append(f"  rounded / bound       {_ratio(float(rounded.value), ub)}")
-    lines.append(f"  rounded / fractional  {_ratio(float(rounded.value), value_x_star)}")
-    if exact is not None:
-        lines.append(f"  rounded / exact       {_ratio(float(rounded.value), exact.value)}")
-        lines.append(f"  local   / exact       {_ratio(float(local.value), exact.value)}")
-    checks = _bound_checks(dm, w, k, relax.best.point.x, value_x_star, float(rounded.value))
+    lines += [f"  {name:<20}  {_ratio(num, den)}" for name, num, den in ratios]
     lines.append("")
     lines.append(
         f"  guarantee factor {checks['guarantee_factor']:.6f}  "
         f"satisfied: {'yes' if checks['guarantee_satisfied'] else 'NO'}"
     )
-    text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -379,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--gap", type=float, default=GAP_TOL_DEFAULT)
     p_cmp.add_argument("--force", action="store_true")
     p_cmp.add_argument("--out", default=None, help="write the table here instead of stdout")
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_compare, scores=None, trace=False)
 
     p_gen = sub.add_parser("gen", help="generate an instance document")
     p_gen.add_argument("generator", choices=["random-points", "integrality-gap", "dks"])
@@ -407,7 +386,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CertificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(
+            f"error: {exc}; rerun with --force to solve anyway "
+            "(this voids the approximation guarantee)",
+            file=sys.stderr,
+        )
         return 3
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

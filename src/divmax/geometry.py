@@ -58,7 +58,10 @@ class DistanceMatrix:
     """Validated pairwise distances over ground set {0, ..., n-1}.
 
     Invariants enforced at construction: square, n >= 2, finite, nonnegative,
-    exactly symmetric, zero diagonal.  The wrapped array is read-only.
+    exactly symmetric, zero diagonal.  The wrapped array is a read-only
+    view that cannot be made writable again, so `certify_negative_type`
+    computes its verdict once per object; a transformed matrix is a new
+    object with its own verdict.
     """
 
     d: np.ndarray
@@ -79,7 +82,7 @@ class DistanceMatrix:
             raise InvalidInputError("distance matrix diagonal must be zero")
         d = d.copy()
         d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", d.view())
 
     @property
     def n(self) -> int:
@@ -414,6 +417,9 @@ def _cholesky_in_place(a: np.ndarray) -> bool:
 def certify_negative_type(dm: DistanceMatrix) -> NegTypeCertificate:
     """Test whether D is of negative type, that is whether Q is PSD.
 
+    The verdict is computed on the first call for a `DistanceMatrix`, and
+    later calls on the same object return the same certificate.
+
     Acceptance threshold: min eigenvalue of Q >= -tau with
     tau = PSD_TOL_SCALE * ||Q||_inf, so c * D gets the same verdict as D
     for every c > 0.  The verdict comes from one blocked Cholesky
@@ -427,6 +433,12 @@ def certify_negative_type(dm: DistanceMatrix) -> NegTypeCertificate:
     b @ D @ b > 0).  An all-zero D has tau == 0 and no factor; `eigh`
     accepts it with min eigenvalue 0.
     """
+    if "_certificate" not in vars(dm):
+        object.__setattr__(dm, "_certificate", _certify(dm))
+    return dm._certificate
+
+
+def _certify(dm: DistanceMatrix) -> NegTypeCertificate:
     c = dm.d[0, 1:]
     a = np.add.outer(c, c)
     a -= dm.d[1:, 1:]

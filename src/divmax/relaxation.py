@@ -29,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError, InvalidInputError
-from .geometry import DistanceMatrix, NegTypeCertificate, certify_negative_type
+from .geometry import DistanceMatrix, certify_negative_type
 from .matroids import FractionalPoint, Matroid, greedy_basis_lmo
 
 GAP_TOL_DEFAULT = 1e-6
-# Iteration cap scale: max_iters defaults to ITER_CAP_SCALE * n * alpha.
+# A slice solve stops after ITER_CAP_SCALE * n * alpha iterations.
 ITER_CAP_SCALE = 50
 # Inside the loop the oracle sees the gradient rounded to this fraction of
 # its largest entry; see `_snap`.
@@ -79,18 +79,16 @@ def _score_vector(w, n: int) -> np.ndarray:
     return w_vec
 
 
-def _require_certified(dm, certificate, force):
+def _require_certified(dm: DistanceMatrix, force: bool) -> None:
+    """Refuse D unless it is of negative type or `force` is set."""
     if force:
-        return certificate
-    if certificate is None:
-        certificate = certify_negative_type(dm)
+        return
+    certificate = certify_negative_type(dm)
     if not certificate.is_negative_type:
         raise CertificationError(
-            "distance matrix failed negative-type certification "
-            f"(min eigenvalue {certificate.min_eigenvalue}); "
-            "the slice objective need not be concave"
+            "distance is not of negative type (min eigenvalue "
+            f"{certificate.min_eigenvalue:.6g}); the slice objective need not be concave"
         )
-    return certificate
 
 
 def _snap(grad: np.ndarray) -> np.ndarray:
@@ -248,8 +246,6 @@ def solve_slice(
     w=None,
     *,
     gap_tol: float = GAP_TOL_DEFAULT,
-    max_iters: int | None = None,
-    certificate: NegTypeCertificate | None = None,
     force: bool = False,
 ) -> SliceSolution:
     """Maximize x @ D @ x + w @ x over {x in P(M) : sum(x) == alpha}.
@@ -259,9 +255,11 @@ def solve_slice(
     and maximizes exactly over the convex hull of the active vertices (see
     `_ActiveSet.maximize_face`).  Terminates once the linearization gap
     drops to gap_tol * value (the value is >= 0, so the rule does not change
-    when D and w are scaled together), at max_iters (default
-    ITER_CAP_SCALE * n * alpha), or when an iteration neither raises the
-    value nor keeps a new vertex, which happens only at rounding level.
+    when D and w are scaled together), after ITER_CAP_SCALE * n * alpha
+    iterations, or when an iteration neither raises the value nor keeps a
+    new vertex, which happens only at rounding level.  D must be certified
+    of negative type (`certify_negative_type`, computed once per matrix)
+    unless `force` is set.
 
     One iteration costs O(n * alpha) for the new vertex's D @ v, a sum of
     alpha rows of D, O(size * alpha) for its Gram row, O(size * n) for
@@ -274,12 +272,11 @@ def solve_slice(
     alpha = int(alpha)
     if not 1 <= alpha <= m.full_rank:
         raise InvalidInputError(f"alpha must be in [1, {m.full_rank}], got {alpha}")
-    _require_certified(dm, certificate, force)
+    _require_certified(dm, force)
     d = dm.d
     n = dm.n
     w_vec = _score_vector(w, n)
-    if max_iters is None:
-        max_iters = ITER_CAP_SCALE * n * alpha
+    max_iters = ITER_CAP_SCALE * n * alpha
 
     # Warm start: greedy basis under the linear part of the objective, with
     # D written as d(i,j) = c[i] + c[j] - 2 Q[i,j] around element 0 (c = D[0]).
@@ -347,8 +344,6 @@ def sweep_slices(
     w=None,
     *,
     gap_tol: float = GAP_TOL_DEFAULT,
-    max_iters: int | None = None,
-    certificate: NegTypeCertificate | None = None,
     force: bool = False,
 ) -> RelaxationResult:
     """Solve only the base-polytope slice, alpha = rank(ground set).
@@ -356,10 +351,11 @@ def sweep_slices(
     No smaller slice needs solving: the slice maximum does not decrease in
     alpha (see the module docstring), so this slice gives `best`, and its
     value + gap is `opt_upper_bound`, which dominates the integer optimum.
-    Scores must be finite and nonnegative.
+    Scores must be finite and nonnegative, and D certified as in
+    `solve_slice`.
     """
     w_vec = _score_vector(w, dm.n)
-    certificate = _require_certified(dm, certificate, force)
+    _require_certified(dm, force)
     if m.full_rank == 0:
         zero = SliceSolution(
             alpha=0,
@@ -373,14 +369,5 @@ def sweep_slices(
             max_active=0,
         )
         return RelaxationResult(best=zero, opt_upper_bound=0.0)
-    best = solve_slice(
-        dm,
-        m,
-        m.full_rank,
-        w_vec,
-        gap_tol=gap_tol,
-        max_iters=max_iters,
-        certificate=certificate,
-        force=force,
-    )
+    best = solve_slice(dm, m, m.full_rank, w_vec, gap_tol=gap_tol, force=force)
     return RelaxationResult(best=best, opt_upper_bound=best.upper_bound)

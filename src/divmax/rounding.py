@@ -262,12 +262,13 @@ def round_step(
     direction (ties: increase the smaller index).  The step length is
     min(x_dec, 1 - x_inc, ring slack minimum); an exhausted element is
     erased (precedence on ties), a binding slack inserts the new tight set.
+    Scores must be finite and nonnegative, as in `round`.
     """
     d = dm.d
+    w_vec = _score_vector(w, m.n)
     rings = chain.rings(x, tol)
     i, j = select_pair(dm, x, rings)
     ring = next(r for r in rings if i in r.elements)
-    w_vec = np.zeros(m.n) if w is None else np.asarray(w, dtype=float)
     f_before, q_before = _counts(rings)
 
     dx = d @ x
@@ -365,7 +366,6 @@ def round(
     tol: float = TIGHT_TOL,
     keep_iterates: bool = False,
     validate_steps: bool = False,
-    certificate=None,
     force: bool = False,
 ) -> RoundResult:
     """Round x* in the base polytope to a basis of the matroid.
@@ -375,11 +375,12 @@ def round(
     in exact arithmetic tie exactly and the pair rule's index order decides
     between them.  `validate_steps` re-checks all chain invariants after
     every step, and `keep_iterates` stores a copy of x per iteration in the
-    trace.
+    trace.  D must be certified of negative type (`certify_negative_type`,
+    computed once per matrix) unless `force` is set.
     """
     if dm.n != m.n:
         raise InvalidInputError(f"distance has n={dm.n} but matroid has n={m.n}")
-    _require_certified(dm, certificate, force)
+    _require_certified(dm, force)
     x = np.asarray(x_star, dtype=float)
     if x.shape != (m.n,):
         raise InvalidInputError(f"x must have shape ({m.n},), got {x.shape}")

@@ -15,6 +15,7 @@ import numpy as np  # noqa: E402
 import pytest
 
 import divmax
+from divmax import geometry
 from divmax.relaxation import _TIE_GRID, ITER_CAP_SCALE
 from divmax.rounding import TIGHT_TOL
 
@@ -487,6 +488,24 @@ def reference_solve_slice(dm, m, alpha, w=None, *, gap_tol=1e-6, max_iters=None)
 
     gap = max(float(gap), 0.0)
     return x, value, gap, iterations, converged
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Sizes of the certifying Cholesky factorizations run during a test.
+
+    Every negative-type verdict starts with one such factorization, so the
+    length of the list counts the certifications computed.
+    """
+    sizes = []
+    factor = geometry._cholesky_in_place
+
+    def counted(a):
+        sizes.append(a.shape[0])
+        return factor(a)
+
+    monkeypatch.setattr(geometry, "_cholesky_in_place", counted)
+    return sizes
 
 
 @pytest.fixture

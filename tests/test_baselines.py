@@ -191,22 +191,34 @@ class TestLocalSearch:
         res = divmax.local_search_half(dm, m)
         assert res.value == pytest.approx(6.0)  # every basis is optimal
 
-    def test_line_from_inner_seed(self, line_points_dm):
-        m = divmax.UniformMatroid(4, 2)
-        res = divmax.local_search_half(dm=line_points_dm, m=m, seed_basis=[1, 2])
-        assert res.elements == (0, 3)
+    def test_line_from_inner_seed(self):
+        # Points 1, 2, 0, 3 on a line: the greedy start is the first basis,
+        # elements {0, 1}, the inner pair.  Two swaps reach the outer pair.
+        dm = divmax.build_distance([[1.0], [2.0], [0.0], [3.0]], "l1")
+        res = divmax.local_search_half(dm, divmax.UniformMatroid(4, 2))
+        assert res.elements == (2, 3)
         assert res.value == pytest.approx(6.0)
         assert res.swaps == 2
 
-    def test_max_sweeps_caps_progress(self, line_points_dm):
-        m = divmax.UniformMatroid(4, 2)
-        res = divmax.local_search_half(line_points_dm, m, seed_basis=[1, 2], max_sweeps=1)
-        assert res.swaps == 1
-
-    def test_invalid_seed_rejected(self, line_points_dm):
-        m = divmax.UniformMatroid(4, 2)
-        with pytest.raises(InvalidInputError):
-            divmax.local_search_half(line_points_dm, m, seed_basis=[0, 1, 2])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_improving_swap_is_left(self, kind, seed):
+        # The search runs to a local optimum: no feasible single swap
+        # B - a + b raises the value by more than the tie rule's 1e-12.
+        dm, m, w = kind_instance(kind, seed, scores=seed % 2 == 1)
+        res = divmax.local_search_half(dm, m, w)
+        w_vec = np.zeros(m.n) if w is None else w
+        basis = set(res.elements)
+        assert len(basis) == m.full_rank and m.is_independent(basis)
+        swaps = 0
+        for a in basis:
+            for b in set(range(m.n)) - basis:
+                other = sorted(basis - {a} | {b})
+                if m.is_independent(other):
+                    swaps += 1
+                    value = dm.d[np.ix_(other, other)].sum() + w_vec[other].sum()
+                    assert value <= res.value + 1e-12 * abs(res.value), (a, b)
+        assert swaps > 0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_never_beats_brute_force_and_stays_feasible(self, seed):

@@ -216,6 +216,11 @@ class TestSolve:
         assert out == ""
         assert "--force" in err
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_certifies_once(self, capsys, gap42, factorizations, command):
+        assert run(capsys, command, gap42)[0] == 0
+        assert factorizations == [3]
+
     def test_force_overrides(self, capsys, bad_triangle):
         code, out, _ = run(capsys, "solve", bad_triangle, "--force")
         assert code == 0
@@ -425,8 +430,10 @@ class TestCompare:
         assert "satisfied: yes" in out
 
     def test_uncertified(self, capsys, bad_triangle):
-        code, _, _ = run(capsys, "compare", bad_triangle)
+        code, out, err = run(capsys, "compare", bad_triangle)
         assert code == 3
+        assert out == ""
+        assert "not of negative type" in err and "--force" in err
         code, out, _ = run(capsys, "compare", bad_triangle, "--force")
         assert code == 0
         assert "rounded / exact" in out

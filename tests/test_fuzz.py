@@ -58,8 +58,8 @@ def _outcome(d, m, w):
         cert = divmax.certify_negative_type(dm)
         if not cert.is_negative_type:
             raise CertificationError("not of negative type")
-        relax = divmax.sweep_slices(dm, m, w, certificate=cert)
-        rounded = divmax.round(dm, m, relax.best.point.x, w, certificate=cert)
+        relax = divmax.sweep_slices(dm, m, w)
+        rounded = divmax.round(dm, m, relax.best.point.x, w)
     except (InvalidInputError, CertificationError) as exc:
         return type(exc).__name__
     k = m.full_rank

@@ -23,6 +23,8 @@ class TestDistanceMatrix:
         assert dm.n == 2
         with pytest.raises(ValueError):
             dm.d[0, 1] = 5.0
+        with pytest.raises(ValueError):
+            dm.d.setflags(write=True)
 
     @pytest.mark.parametrize(
         "bad",
@@ -354,6 +356,29 @@ class TestCertification:
             cert = divmax.certify_negative_type(dm)
             assert cert.is_negative_type, (kind, seed, cert.min_eigenvalue)
             assert cert.witness is None
+
+    def test_verdict_computed_once_per_matrix(self, factorizations, triangle_not_negtype):
+        # D is read-only, so later calls return the first certificate; a
+        # transformed matrix is a new object with a verdict of its own.
+        dm = random_certified(0, 10, "l1")
+        cert = divmax.certify_negative_type(dm)
+        assert divmax.certify_negative_type(dm) is cert
+        assert factorizations == [9]
+        root = divmax.transform_distance(dm, "power", alpha=0.5)
+        assert divmax.certify_negative_type(root) is not cert
+        assert divmax.certify_negative_type(root) is divmax.certify_negative_type(root)
+        assert factorizations == [9, 9]
+        refusal = divmax.certify_negative_type(triangle_not_negtype)
+        assert divmax.certify_negative_type(triangle_not_negtype) is refusal
+        assert not refusal.is_negative_type and len(factorizations) == 3
+
+    def test_library_path_certifies_once(self, factorizations):
+        # The README's library example: certify, relax, round.
+        dm, m, w = divmax.materialize(divmax.gen_random_points(50, 4, "l2", 7, k=8))
+        assert divmax.certify_negative_type(dm).is_negative_type
+        relax = divmax.sweep_slices(dm, m, w)
+        divmax.round(dm, m, relax.best.point.x, w)
+        assert factorizations == [49]
 
     def test_triangle_1_1_5_rejected_with_witness(self, triangle_not_negtype):
         cert = divmax.certify_negative_type(triangle_not_negtype)

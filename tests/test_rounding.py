@@ -9,6 +9,11 @@ from divmax.rounding import ChainState, build_chain, round_step, select_pair
 
 from conftest import random_certified, random_matroid, reference_round
 
+BAD_SCORES = pytest.mark.parametrize(
+    "w", [np.ones(3), [np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0]],
+    ids=["shape", "nan", "inf", "negative"],
+)
+
 MATROID_KINDS = ("uniform", "partition", "graphic", "explicit_rank")
 DISTANCE_KINDS = ("l1", "l2", "jaccard", "cosine", "dice")
 
@@ -206,6 +211,15 @@ class TestRoundStep:
             assert rec.loss <= budget + 1e-9
             chain.validate(m, x)
 
+    @BAD_SCORES
+    def test_scores_checked(self, allones_dm4, w):
+        m = divmax.UniformMatroid(4, 2)
+        x = np.full(4, 0.5)
+        chain = build_chain(m, x)
+        with pytest.raises(InvalidInputError):
+            round_step(allones_dm4, m, x, chain, w)
+        assert (x == 0.5).all()
+
 
 class TestRound:
     def test_integrality_gap_42_trace(self):
@@ -252,10 +266,7 @@ class TestRound:
         with pytest.raises(InvalidInputError):
             divmax.round(dm, m, np.ones(3))
 
-    @pytest.mark.parametrize(
-        "w", [np.ones(3), [np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0]],
-        ids=["shape", "nan", "inf", "negative"],
-    )
+    @BAD_SCORES
     def test_scores_checked(self, w):
         dm = random_certified(0, 4)
         m = divmax.UniformMatroid(4, 2)

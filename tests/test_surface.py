@@ -1,7 +1,8 @@
-"""The public surface of the package: exports, removed names, unused imports,
-and one owner for each module-level constant."""
+"""The public surface of the package: exports, removed names and parameters,
+unused imports, and one owner for each module-level constant."""
 
 import ast
+import inspect
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -29,10 +30,27 @@ def test_all_is_sorted_unique_and_resolves():
     for name in names:
         assert hasattr(divmax, name), name
 
+# Options no pipeline caller needs: the negative-type verdict is computed
+# once per DistanceMatrix, the slice iteration cap is ITER_CAP_SCALE * n *
+# alpha, and the local search starts from the greedy basis and runs to a
+# local optimum.
+REMOVED_PARAMETERS = {
+    "solve_slice": ("certificate", "max_iters"),
+    "sweep_slices": ("certificate", "max_iters"),
+    "round": ("certificate",),
+    "local_search_half": ("seed_basis", "max_sweeps"),
+}
+
 
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
     assert not hasattr(divmax, name)
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_PARAMETERS))
+def test_removed_parameter_is_gone(name):
+    parameters = inspect.signature(getattr(divmax, name)).parameters
+    assert set(REMOVED_PARAMETERS[name]) & set(parameters) == set()
 
 
 def _unused_imports(path: Path) -> list:
