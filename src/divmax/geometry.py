@@ -43,6 +43,8 @@ METRIC_TOL = 1e-9
 _BLOCK_BYTES = 1 << 20
 # Column-block width of the certifying Cholesky factorization.
 _CHOL_BLOCK = 128
+# Side of the square tiles in which `DistanceMatrix` compares D with D.T.
+_SYM_TILE = 256
 # l2 entries whose Gram value g = |a|^2 + |b|^2 - 2 a.b is at most this
 # fraction of |a|^2 + |b|^2 are recomputed from the point differences.
 _GRAM_CANCEL = 1e-4
@@ -76,7 +78,7 @@ class DistanceMatrix:
             raise InvalidInputError("distance matrix entries must be finite")
         if (d < 0).any():
             raise InvalidInputError("distances must be nonnegative")
-        if not np.array_equal(d, d.T):
+        if not _is_symmetric(d):
             raise InvalidInputError("distance matrix must be symmetric")
         if np.diagonal(d).any():
             raise InvalidInputError("distance matrix diagonal must be zero")
@@ -87,6 +89,21 @@ class DistanceMatrix:
     @property
     def n(self) -> int:
         return self.d.shape[0]
+
+
+def _is_symmetric(d: np.ndarray) -> bool:
+    """Whether d == d.T exactly, compared in _SYM_TILE-square tiles.
+
+    Tile (I, J) is compared with the transpose of tile (J, I) for I <= J,
+    so both operands of each comparison stay in cache, where one pass over
+    d.T would stride across the whole matrix.
+    """
+    n, t = d.shape[0], _SYM_TILE
+    return all(
+        np.array_equal(d[i0 : i0 + t, j0 : j0 + t], d[j0 : j0 + t, i0 : i0 + t].T)
+        for i0 in range(0, n, t)
+        for j0 in range(i0, n, t)
+    )
 
 
 @dataclass(frozen=True)
@@ -385,12 +402,23 @@ def _cholesky_in_place(a: np.ndarray) -> bool:
     """Whether symmetric `a` has a Cholesky factor; `a` is overwritten.
 
     Right-looking and blocked.  Each diagonal block is factored by
-    `np.linalg.cholesky`, which reads its lower triangle; the panel below
-    it is solved against that factor, and the lower trailing matrix is
-    updated by GEMMs one column block at a time.  Solves and updates run in
-    row chunks of at most _BLOCK_BYTES, so no temporary is larger than
-    that or one _CHOL_BLOCK-wide diagonal factor.  False as soon as a
-    diagonal block is not positive definite.
+    `np.linalg.cholesky`, which reads its lower triangle, and its factor L
+    is inverted once by back-substitution, except in the last block, which
+    has no panel below it.  The panel P becomes P @ inv(L).T, and the
+    lower trailing matrix is updated, all by GEMMs:
+    the panel in row chunks, the update one column block at a time.  Row
+    chunks hold at most _BLOCK_BYTES, so no temporary is larger than that
+    or one _CHOL_BLOCK-wide diagonal factor.  False as soon as a diagonal
+    block is not positive definite.
+
+    A product with an explicit inverse errs by up to cond(L) times more
+    than a triangular solve, and the verdict keeps its margin anyway.  `a`
+    is Q shifted by tau, so when Q is PSD every diagonal block factored
+    here, a Schur complement of `a`, has no eigenvalue below tau and none
+    above ||a||.  Its inverse comes by back-substitution on L with
+    cond(L) <= sqrt(||a|| / tau), about 1e4, so a panel errs by about 1e4
+    * eps relative: four orders of magnitude inside the 1e-8 margin that
+    tau gives.
     """
     m = a.shape[0]
     b = _CHOL_BLOCK
@@ -398,13 +426,15 @@ def _cholesky_in_place(a: np.ndarray) -> bool:
     try:
         for k0 in range(0, m, b):
             k1 = min(k0 + b, m)
-            # The panel P becomes X with X @ lkk.T == P.  With rows and
-            # columns reversed lkk is upper triangular, so np.linalg.solve
-            # swaps no rows and back-substitutes.
+            # With rows and columns reversed L is upper triangular, so
+            # np.linalg.solve swaps no rows and back-substitutes.
             upper = np.linalg.cholesky(a[k0:k1, k0:k1])[::-1, ::-1]
+            if k1 == m:
+                break
+            inv_lt = np.linalg.solve(upper, np.eye(k1 - k0))[::-1, ::-1].T.copy()
             for r0 in range(k1, m, rows):
                 panel = a[r0 : r0 + rows, k0:k1]
-                panel[...] = np.linalg.solve(upper, panel.T[::-1])[::-1].T
+                panel[...] = panel @ inv_lt
             for j0 in range(k1, m, b):
                 lj = a[j0 : j0 + b, k0:k1]
                 for r0 in range(j0, m, rows):

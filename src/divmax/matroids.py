@@ -83,8 +83,13 @@ def _climb(parent: np.ndarray, at: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _combinations(elements, k: int) -> np.ndarray:
-    """The k-subsets of `elements`, one int8 row each, in lexicographic order."""
-    rows = np.fromiter(chain.from_iterable(combinations(elements, k)), dtype=np.int8)
+    """The k-subsets of `elements`, one row each, in lexicographic order.
+
+    Rows have the smallest signed integer dtype that holds every element:
+    the one that holds -(largest + 1) also holds the largest.
+    """
+    dtype = np.min_scalar_type(-1 - max(elements, default=0))
+    rows = np.fromiter(chain.from_iterable(combinations(elements, k)), dtype=dtype)
     return rows.reshape(comb(len(elements), k), k)
 
 
@@ -152,7 +157,7 @@ class Matroid:
         return np.array([self.rank(row) == len(row) for row in rows.tolist()], dtype=bool)
 
     def _bases(self, k: int) -> np.ndarray:
-        """Every basis of rank k, one sorted int8 row each, in lexicographic order."""
+        """Every basis of rank k, one sorted row each, in lexicographic order."""
         rows = _combinations(range(self.n), k)
         return rows[self._independent(rows)]
 
@@ -209,11 +214,9 @@ class PartitionMatroid(Matroid):
         return sum(map(min, counts, self.capacities))
 
     def _greedy(self, order: np.ndarray, alpha: int) -> list:
-        block_of = self.block_of.tolist()
         spare = list(self.capacities)
         taken: list[int] = []
-        for e in order:
-            bi = block_of[e]
+        for e, bi in zip(order.tolist(), self.block_of[order].tolist()):
             if spare[bi]:
                 spare[bi] -= 1
                 taken.append(e)
@@ -257,10 +260,19 @@ class PartitionMatroid(Matroid):
         return bases[np.lexsort(bases.T[::-1])]
 
     def _swap_mask(self, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
-        """b joins a's block, or a block with spare capacity in B."""
-        block_in, block_out = self.block_of[inside], self.block_of[outside]
-        spare = np.bincount(block_in, minlength=len(self.blocks)) < np.asarray(self.capacities)
-        return (block_in[:, None] == block_out) | spare[block_out]
+        """b joins a's block, or a block with spare capacity in B.
+
+        Only a block that B fills can refuse b, and only for the a outside
+        it.  When no block can, as for a uniform matroid, no block is
+        compared.
+        """
+        block_in = self.block_of[inside]
+        held = np.bincount(block_in, minlength=len(self.blocks))
+        refusing = (held >= self.capacities) & (held < len(inside))
+        if not refusing.any():
+            return np.ones((len(inside), len(outside)), dtype=bool)
+        block_out = self.block_of[outside]
+        return (block_in[:, None] == block_out) | ~refusing[block_out]
 
 
 def _scan_sizes(p_size, cap, pool, x, forced, base_mass):
@@ -622,6 +634,12 @@ def greedy_basis_lmo(m: Matroid, alpha: int, w) -> np.ndarray:
     kept while independent, stopping at alpha elements.  Because every basis
     of the truncation has exactly alpha elements, this greedy scan maximizes
     w @ x over the slice vertices even for negative weights.
+
+    Only a prefix of that order is sorted: the c heaviest elements and every
+    one tied with the lightest of them.  A scan that takes alpha elements of
+    the prefix takes what it would take along the full order.  c starts at
+    alpha and grows fourfold until the scan fills or the prefix is all of
+    the ground set.
     """
     alpha = int(alpha)
     if not 1 <= alpha <= m.full_rank:
@@ -629,7 +647,19 @@ def greedy_basis_lmo(m: Matroid, alpha: int, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape != (m.n,):
         raise InvalidInputError(f"weights must have shape ({m.n},), got {w.shape}")
-    taken = m._greedy(np.lexsort((np.arange(m.n), -w)), alpha)
+    keys, c = -w, alpha
+    while True:
+        if c < m.n:
+            part = keys.copy()
+            part.partition(c - 1)
+            prefix = (keys <= part[c - 1]).nonzero()[0]
+        else:
+            prefix = np.arange(m.n)
+        # A stable sort keeps index order among equal keys.
+        taken = m._greedy(prefix[keys[prefix].argsort(kind="stable")], alpha)
+        if len(taken) == alpha or len(prefix) == m.n:
+            break
+        c *= 4
     if len(taken) != alpha:
         raise InternalInvariantError("greedy failed to reach the requested truncation rank")
     x = np.zeros(m.n)

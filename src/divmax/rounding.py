@@ -28,9 +28,12 @@ one per step, so a run takes at most n steps.
 neighbours in the ring's sorted cyclic order, a in T and b not: every proper
 nonempty T inside a ring holds some a whose neighbour b it does not hold, so
 a final ring of r elements costs r searches.  A step costs one slack search,
-one product D @ x (for the value and the sign), and the pair scan as array
-work: each fractional ring r is scored as the upper triangle of
-outer(x_r, x_r) * D[r, r].
+one product D[S, S] @ x_S over the support S of x (for the value and the
+sign), and the pair scan as array work: each fractional ring r is scored as
+the upper triangle of outer(x_r, x_r) * D[r, r].  The product is formed as
+D[S, :] @ x, equal because x is zero off S: gathering whole rows costs
+O(|S| n), where gathering the |S| x |S| block costs more than D @ x itself
+once S is most of the ground set.
 """
 
 from __future__ import annotations
@@ -271,7 +274,11 @@ def round_step(
     ring = next(r for r in rings if i in r.elements)
     f_before, q_before = _counts(rings)
 
-    dx = d @ x
+    # D @ x on the support S only, as D[S, :] @ x; it is left 0 off S,
+    # where x is 0 too, so x @ dx sums the terms a full D @ x would give.
+    support = x.nonzero()[0]
+    dx = np.zeros(m.n)
+    dx[support] = d[support] @ x
     value_before = float(x @ dx + w_vec @ x)
     kappa = 2.0 * float(dx[i] - dx[j]) - 2.0 * float(d[i, j]) * float(x[j] - x[i])
     kappa += float(w_vec[i] - w_vec[j])
@@ -302,7 +309,7 @@ def round_step(
         x[inc] = 1.0
     chain.normalize_integral(x, tol)
 
-    # D @ x after the step, from the two coordinates that moved.
+    # D @ x on S after the step, from the two coordinates that moved.
     dx += (x[inc] - x_inc) * d[inc] + (x[dec] - x_dec) * d[dec]
     value_after = float(x @ dx + w_vec @ x)
     f_after, q_after = _counts(chain.rings(x, tol))
@@ -370,7 +377,9 @@ def round(
 ) -> RoundResult:
     """Round x* in the base polytope to a basis of the matroid.
 
-    Each of at most n iterations costs one slack search and one D @ x.
+    Each of at most n iterations costs one slack search and one
+    D[S, S] @ x_S over the support S of x; the only n x n products are the
+    two that give `quad_star` and the final value.
     x* is first rounded to multiples of 2^-40, so coordinates that are equal
     in exact arithmetic tie exactly and the pair rule's index order decides
     between them.  `validate_steps` re-checks all chain invariants after

@@ -206,6 +206,32 @@ class RankOnly(divmax.Matroid):
         return self.inner.rank(subset)
 
 
+def counting_view(d):
+    """View of d that counts the matrix products taking an n x n operand."""
+    shape = d.shape
+
+    class Counting(np.ndarray):
+        products = 0
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and any(np.shape(a) == shape for a in inputs):
+                Counting.products += 1
+            inputs = tuple(np.asarray(a) for a in inputs)
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+        def __array_function__(self, func, types, args, kwargs):
+            if func in (np.dot, np.matmul, np.inner, np.vdot, np.einsum):
+                Counting.products += 1
+            args = tuple(np.asarray(a) if isinstance(a, Counting) else a for a in args)
+            return func(*args, **kwargs)
+
+        def dot(self, other, out=None):
+            Counting.products += 1
+            return np.asarray(self).dot(other, out)
+
+    return d.view(Counting)
+
+
 def random_matroid(seed: int, n: int):
     """Uniform or partition matroid with random parameters."""
     rng = np.random.default_rng(seed)

@@ -164,9 +164,14 @@ class TestSolve:
         assert "slices" not in report
         timings = report["timings"]
         assert set(timings) == {
-            "certify_s", "relax_s", "round_s", "local_search_s", "exact_s", "baselines_s", "total_s",
+            "materialize_s", "certify_s", "relax_s", "round_s", "local_search_s", "exact_s",
+            "baselines_s", "total_s",
         }
         assert timings["exact_s"] > 0.0
+        # total_s spans the layers, materialize included.
+        layers = ("materialize_s", "certify_s", "relax_s", "round_s", "baselines_s")
+        assert 0.0 < timings["materialize_s"] < timings["total_s"]
+        assert sum(timings[key] for key in layers) <= timings["total_s"] * (1 + 1e-11)
         # Report floats carry 12 significant digits.
         assert timings["baselines_s"] == pytest.approx(
             timings["local_search_s"] + timings["exact_s"], rel=1e-11

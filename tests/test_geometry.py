@@ -7,7 +7,14 @@ import pytest
 
 import divmax
 from divmax.errors import InvalidInputError
-from divmax.geometry import METRIC_TOL, PSD_TOL_SCALE, _block_rows
+from divmax.geometry import (
+    _BLOCK_BYTES,
+    _CHOL_BLOCK,
+    _SYM_TILE,
+    METRIC_TOL,
+    PSD_TOL_SCALE,
+    _block_rows,
+)
 
 from conftest import (
     assert_matches_eigh_reference,
@@ -40,6 +47,49 @@ class TestDistanceMatrix:
     def test_rejects_invalid(self, bad):
         with pytest.raises(InvalidInputError):
             divmax.DistanceMatrix(bad)
+
+    @pytest.mark.parametrize("n", [300, 513])
+    def test_one_flipped_pair_in_any_tile_is_rejected(self, n):
+        # Symmetry is compared in square tiles; n = 300 and 513 end in a
+        # short tile (44 and 1 rows).  One entry is raised on one side of
+        # the diagonal only, in each tile position: below, on and above the
+        # diagonal tiles, the short ones included.
+        d = divmax.build_distance(np.random.default_rng(n).standard_normal((n, 2)), "l2").d
+        divmax.DistanceMatrix(d)
+        starts = range(0, n, _SYM_TILE)
+        flipped = 0
+        for r0 in starts:
+            for c0 in starts:
+                i, j = min(r0 + _SYM_TILE, n) - 1, c0
+                if i == j:  # the one-row last tile holds no off-diagonal pair
+                    continue
+                bad = d.copy()
+                bad[i, j] += 1.0
+                with pytest.raises(InvalidInputError, match="distance matrix must be symmetric"):
+                    divmax.DistanceMatrix(bad)
+                flipped += 1
+        assert flipped == len(starts) ** 2 - (n % _SYM_TILE == 1)
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (np.nan, "distance matrix entries must be finite"),
+            (np.inf, "distance matrix entries must be finite"),
+            (-np.inf, "distance matrix entries must be finite"),
+            (-1.0, "distances must be nonnegative"),
+            (None, "distance matrix diagonal must be zero"),
+        ],
+    )
+    def test_bad_entries_keep_their_messages(self, value, message):
+        # In the short last tile of n = 513, on both sides of the diagonal
+        # (or on it, for None), so that only the entry itself is at fault.
+        d = divmax.build_distance(np.random.default_rng(0).standard_normal((513, 2)), "l2").d.copy()
+        if value is None:
+            d[512, 512] = 1.0
+        else:
+            d[512, 3] = d[3, 512] = value
+        with pytest.raises(InvalidInputError, match=message):
+            divmax.DistanceMatrix(d)
 
     def test_caller_array_is_copied_and_stays_writable(self):
         d = np.array([[0.0, 2.0], [2.0, 0.0]])
@@ -468,11 +518,43 @@ class TestCertification:
         assert not cert.is_negative_type and cert.min_eigenvalue < 0
         assert cert.witness_value > 0
 
-    @pytest.mark.parametrize("n", [40, 300])
+    def test_one_inversion_per_diagonal_block(self, monkeypatch):
+        # 1299 non-base rows: 11 diagonal blocks, and the panels below the
+        # first two span two row chunks each.  Each block's factor but the
+        # last, which has no panel, is inverted once, a solve against the
+        # identity, and the panels are products with that inverse: no solve
+        # runs per row chunk.
+        n, b = 1300, _CHOL_BLOCK
+        dm = divmax.build_distance(np.random.default_rng(3).standard_normal((n, 4)), "l2")
+        factored, solved = [], []
+        cholesky, solve = np.linalg.cholesky, np.linalg.solve
+
+        def spy_cholesky(a):
+            factored.append(a.shape)
+            return cholesky(a)
+
+        def spy_solve(a, rhs):
+            solved.append((a.shape, np.array_equal(rhs, np.eye(len(a)))))
+            return solve(a, rhs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy_cholesky)
+        monkeypatch.setattr(np.linalg, "solve", spy_solve)
+        cert = divmax.certify_negative_type(dm)
+        assert cert.is_negative_type and cert.min_eigenvalue is None
+        m = n - 1
+        blocks = [(min(b, m - k0),) * 2 for k0 in range(0, m, b)]
+        assert factored == blocks and len(blocks) == 11
+        assert solved == [(shape, True) for shape in blocks[:-1]]
+        rows = max(b, _BLOCK_BYTES // (8 * b))
+        chunks = sum(len(range(min(k0 + b, m), m, rows)) for k0 in range(0, m, b))
+        assert chunks > len(blocks)  # so a solve per row chunk would show
+
+    @pytest.mark.parametrize("n", [40, 300, 1000])
     @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
     def test_threshold_verdicts_match_reference(self, n, c):
         # Q with smallest eigenvalue -t * tau, tau = PSD_TOL_SCALE * ||Q||_inf,
         # put into D by d(i, j) = Q_ii + Q_jj - 2 Q_ij with a zero base row.
+        # n = 1000 factors 999 non-base rows in eight blocks.
         rng = np.random.default_rng(n)
         v = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
         lam = np.linspace(1.0, 2.0, n - 1)

@@ -7,7 +7,7 @@ import pytest
 
 import divmax
 from divmax.errors import InvalidInputError
-from divmax.matroids import W_MAX, Matroid, validate_rank_table
+from divmax.matroids import W_MAX, Matroid, _combinations, validate_rank_table
 
 from conftest import (
     RankOnly,
@@ -187,6 +187,48 @@ class TestGreedyLMO:
             if len(s) == alpha
         )
         assert got == pytest.approx(best)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_prefix_order_matches_full_order(self, seed):
+        # Weights from five values tie often, also at the cut of the sorted
+        # prefix.  Every alpha of the four kinds against the greedy run along
+        # the full order: weight descending, lower index first.
+        rng = np.random.default_rng(seed)
+        g = random_multigraph(seed)
+        kinds = (
+            divmax.UniformMatroid(9, 4),
+            random_matroid(seed + 200, 9),
+            g,
+            divmax.ExplicitRankMatroid.from_matroid(g),
+        )
+        for m in kinds:
+            w = rng.integers(-2, 3, m.n).astype(float)
+            full = np.lexsort((np.arange(m.n), -w))
+            for alpha in range(1, m.full_rank + 1):
+                expected = np.zeros(m.n)
+                expected[m._greedy(full, alpha)] = 1.0
+                np.testing.assert_array_equal(divmax.greedy_basis_lmo(m, alpha, w), expected)
+
+    def test_prefix_grows_until_greedy_fills(self, monkeypatch):
+        # The heaviest eight elements share a block of capacity 1.  The first
+        # prefix (c = alpha = 2) takes the four tied at the cut and falls
+        # short, so does the next (c = 8), and the third is the whole order.
+        m = divmax.PartitionMatroid([range(8), range(8, 12)], [1, 1])
+        w = np.array([3.0, 3, 3, 3, 2, 2, 2, 2, 1, 1, 0, 0])
+        lengths = []
+        greedy = m._greedy
+        monkeypatch.setattr(m, "_greedy", lambda order, alpha: lengths.append(len(order))
+                            or greedy(order, alpha))
+        assert np.flatnonzero(divmax.greedy_basis_lmo(m, 2, w)).tolist() == [0, 8]
+        assert lengths == [4, 8, 12]
+        # A uniform matroid fills from the first prefix.
+        u = divmax.UniformMatroid(2000, 2)
+        lengths.clear()
+        monkeypatch.setattr(u, "_greedy", lambda order, alpha: lengths.append(len(order))
+                            or divmax.UniformMatroid._greedy(u, order, alpha))
+        w = np.random.default_rng(0).standard_normal(2000)
+        assert np.flatnonzero(divmax.greedy_basis_lmo(u, 2, w)).tolist() == sorted(np.argsort(-w)[:2])
+        assert lengths == [2]
 
     def test_alpha_out_of_range(self):
         m = divmax.UniformMatroid(4, 2)
@@ -518,6 +560,31 @@ class TestBasesAndSwaps:
                 ).reshape(len(inside), len(outside))
                 for mask in (m._swap_mask(inside, outside), ref._swap_mask(inside, outside)):
                     np.testing.assert_array_equal(mask, swaps, strict=True)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_partition_swaps_match_rank_oracle(self, seed):
+        # Bases, and independent sets that fill some blocks but not others,
+        # of uniform and partition matroids against one rank call per swap.
+        rng = np.random.default_rng(seed)
+        m = random_matroid(seed + 300, 9)
+        ref = RankOnly(m)
+        bases = m._bases(m.full_rank).astype(np.intp)
+        partial = np.sort(m._greedy(rng.permutation(m.n), int(rng.integers(0, m.full_rank + 1))))
+        for inside in (bases[rng.integers(len(bases))], partial.astype(np.intp)):
+            outside = np.setdiff1d(np.arange(m.n), inside)
+            swaps = np.array(
+                [[ref.rank([*np.delete(inside, a), b]) == len(inside) for b in outside]
+                 for a in range(len(inside))],
+                dtype=bool,
+            ).reshape(len(inside), len(outside))
+            np.testing.assert_array_equal(m._swap_mask(inside, outside), swaps, strict=True)
+
+    def test_combinations_hold_any_index(self):
+        rows = _combinations(range(200), 2)
+        assert rows.tolist() == [list(c) for c in itertools.combinations(range(200), 2)]
+        assert tuple(rows[-1]) == (198, 199)
+        # The bases of every ground set of an explicit table stay one byte wide.
+        assert _combinations(range(W_MAX), 3).dtype == np.int8
 
     @pytest.mark.parametrize("seed", range(40))
     def test_is_independent_matches_rank(self, seed):

@@ -10,6 +10,7 @@ from divmax import relaxation
 from divmax.errors import CertificationError, InvalidInputError
 
 from conftest import (
+    counting_view,
     enumerate_independent,
     in_polytope,
     random_certified,
@@ -140,32 +141,6 @@ def _oracle_instance(kind, matroid_kind, seed):
     return random_certified(seed, n, kind), m, w
 
 
-def _counting_view(d):
-    """View of d that counts the matrix products taking an n x n operand."""
-    shape = d.shape
-
-    class Counting(np.ndarray):
-        products = 0
-
-        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if ufunc is np.matmul and any(np.shape(a) == shape for a in inputs):
-                Counting.products += 1
-            inputs = tuple(np.asarray(a) for a in inputs)
-            return getattr(ufunc, method)(*inputs, **kwargs)
-
-        def __array_function__(self, func, types, args, kwargs):
-            if func in (np.dot, np.matmul, np.inner, np.vdot, np.einsum):
-                Counting.products += 1
-            args = tuple(np.asarray(a) if isinstance(a, Counting) else a for a in args)
-            return func(*args, **kwargs)
-
-        def dot(self, other, out=None):
-            Counting.products += 1
-            return np.asarray(self).dot(other, out)
-
-    return d.view(Counting)
-
-
 _ORACLE_GRID = list(
     itertools.product(("l1", "l2", "jaccard", "cosine"), ("uniform", "partition", "graphic"))
 )
@@ -233,7 +208,7 @@ class TestSolveSliceCost:
         # so the solves only look it up.
         dm, m, _ = divmax.materialize(divmax.gen_random_points(120, 6, "cosine", 13, k=12))
         assert divmax.certify_negative_type(dm).is_negative_type
-        counting = _counting_view(dm.d)
+        counting = counting_view(dm.d)
         object.__setattr__(dm, "d", counting)
         counts = {}
         for gap_tol in (1e-2, 1e-6):

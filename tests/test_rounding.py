@@ -7,7 +7,7 @@ import divmax
 from divmax.errors import CertificationError, InternalInvariantError, InvalidInputError
 from divmax.rounding import ChainState, build_chain, round_step, select_pair
 
-from conftest import random_certified, random_matroid, reference_round
+from conftest import counting_view, random_certified, random_matroid, reference_round
 
 BAD_SCORES = pytest.mark.parametrize(
     "w", [np.ones(3), [np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0]],
@@ -321,6 +321,20 @@ class TestRound:
         assert all(r.integral for r in chain.rings(x))
         assert tuple(int(e) for e in np.nonzero(x >= 0.5)[0]) == inc.basis
         assert float(x @ dm.d @ x) == pytest.approx(inc.value, abs=1e-9)
+
+    def test_dense_products_do_not_grow_with_steps(self):
+        # A step forms its products over the support of x only, so the n x n
+        # products of a run are the two behind `quad_star` and the final
+        # value, on an interior optimum of about 400 steps too.  The verdict
+        # is computed before D is swapped for the counting view, so `round`
+        # only looks it up.
+        dm, m, w = divmax.materialize(divmax.gen_random_points(400, 6, "cosine", 1, k=20))
+        x_star = divmax.sweep_slices(dm, m, w).best.point.x
+        counting = counting_view(dm.d)
+        object.__setattr__(dm, "d", counting)
+        res = divmax.round(dm, m, x_star, w)
+        assert len(res.trace.iterations) > 390
+        assert type(counting).products == 2
 
     def test_with_scores_quadratic_budget(self):
         rng = np.random.default_rng(5)
