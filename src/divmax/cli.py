@@ -21,7 +21,7 @@ from .errors import (
     InternalInvariantError,
     InvalidInputError,
 )
-from .geometry import certify_negative_type
+from .geometry import NUM_TOL, certify_negative_type
 from .io import SCHEMA_VERSION, canonical_dumps, doc_from_json, doc_to_json, materialize, parse_scores
 from .relaxation import GAP_TOL_DEFAULT, sweep_slices
 from .rounding import guarantee_factor, round as round_to_basis
@@ -103,7 +103,7 @@ def _bound_checks(dm, w, k: int, x_star, value_x_star: float, basis_value: float
         "quadratic_value_x_star": quad,
         "guarantee_target": float(target),
         "guarantee_satisfied": bool(
-            basis_value >= target - 1e-9 * max(abs(target), abs(basis_value))
+            basis_value >= target - NUM_TOL * max(abs(target), abs(basis_value))
         ),
     }
 

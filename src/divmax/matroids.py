@@ -13,11 +13,13 @@ oracle alone, and each kind overrides those it answers faster:
                     elements (partition: block counts; graphic: a
                     union-find forest; explicit rank: table lookups)
   * `_slack`     -- min of r(prefix|T) - x(prefix|T) over windowed T that
-                    contain i and avoid j (partition: block counts; graphic:
-                    one minimum cut per contracted vertex; explicit rank:
-                    the table read at every window subset at once; otherwise
+                    contain i and avoid j (graphic: one minimum cut per
+                    contracted vertex; explicit rank: the table read at every
+                    window subset at once; otherwise, partition included,
                     the subsets of a window of at most W_MAX elements, one
                     rank call each)
+  * `_ring_piece`, `_ring_step` -- what the rounding asks of a slack
+                    search, in closed form (partition) or None
 
 `is_independent`, the bases (`_bases`) and the swaps B - a + b that give a
 basis (`_swap_mask`) follow from `_independent`.  Partition bases and swaps
@@ -152,6 +154,14 @@ class Matroid:
                     best_members = members
         return SlackResult(float(best_val), frozenset(best_members))
 
+    def _ring_piece(self, ring) -> list | None:
+        """First tight piece of a sorted fractional ring (itself if final); None: search."""
+        return None
+
+    def _ring_step(self, x, inc, dec, ring) -> tuple | None:
+        """(longest step along e_inc - e_dec, the piece then tight); None: search."""
+        return None
+
     def _independent(self, rows: np.ndarray) -> np.ndarray:
         """Which rows of element indices are independent sets, one rank call each."""
         return np.array([self.rank(row) == len(row) for row in rows.tolist()], dtype=bool)
@@ -178,7 +188,23 @@ def _as_set(subset, n: int) -> frozenset:
 
 
 class PartitionMatroid(Matroid):
-    """Disjoint blocks with per-block capacities; r(S) = sum min(|S&B|, cap)."""
+    """Disjoint blocks with per-block capacities; r(S) = sum min(|S&B|, cap).
+
+    The rounding's tight sets have a closed form.  At a base x every block
+    b is saturated, x(b) = cap(b), and r(S) - x(S) is a sum of per-block
+    slacks min(|S&b|, cap(b)) - x(S&b), each >= 0; so S is tight iff each
+    block's part is.  Say b holds p integral elements and the fractional
+    part F_b, of mass c = cap(b) - p.  A tight part of b then holds only
+    integral elements, or all p and the whole of F_b.  So a maximal chain
+    has the integral singletons and one ring F_b per block: a fractional
+    ring splits into its blocks' parts (`_ring_piece`).  In a ring F_b,
+    take any T holding inc but not dec.  If |T| <= c, its slack is the sum
+    of 1 - x_t over T, at least 1 - x_inc; else it is c - x(T) =
+    x(F_b - T), at least x_dec.  So the step is min(x_dec, 1 - x_inc), and
+    the only refinement is {inc} (`_ring_step`).  `slack_minimize`
+    enumerates subsets (`Matroid._slack`), so its windows hold at most
+    W_MAX elements.
+    """
 
     kind = "partition"
 
@@ -224,26 +250,16 @@ class PartitionMatroid(Matroid):
                     break
         return taken
 
-    def _slack(self, x, i, j, window, prefix) -> SlackResult:
-        """Sum of per-block scans, after one walk over the window and the prefix each."""
-        block_of = self.block_of.tolist()
-        pools, prefixes = [[] for _ in self.blocks], [[] for _ in self.blocks]
-        for e in window - {i, j}:
-            pools[block_of[e]].append(e)
-        for e in prefix:
-            prefixes[block_of[e]].append(e)
-        total, members = 0.0, []
-        for bi, (pool, p_b, cap) in enumerate(zip(pools, prefixes, self.capacities)):
-            p_mass = float(sum(x[e] for e in p_b))
-            forced = [i] if bi == block_of[i] else []
-            if pool or forced:
-                base_mass = p_mass + x[i] if forced else p_mass
-                val, mem = _scan_sizes(len(p_b), cap, pool, x, forced, base_mass)
-            else:  # no window element: the prefix alone
-                val, mem = min(len(p_b), cap) - p_mass, []
-            total += val
-            members.extend(mem)
-        return SlackResult(float(total), frozenset(members))
+    def _ring_piece(self, ring) -> list:
+        """The part of the ring in its smallest element's block."""
+        blocks = self.block_of[ring].tolist()
+        return [e for e, b in zip(ring, blocks) if b == blocks[0]]
+
+    def _ring_step(self, x, inc, dec, ring) -> tuple | None:
+        """min(x_dec, 1 - x_inc) and {inc}; a ring across blocks (no maximal chain) is searched."""
+        if (self.block_of[list(ring)] != self.block_of[inc]).any():
+            return None
+        return min(float(x[dec]), 1.0 - float(x[inc])), frozenset({inc})
 
     def _bases(self, k: int) -> np.ndarray:
         """The product of the per-block combinations, sorted.
@@ -273,31 +289,6 @@ class PartitionMatroid(Matroid):
             return np.ones((len(inside), len(outside)), dtype=bool)
         block_out = self.block_of[outside]
         return (block_in[:, None] == block_out) | ~refusing[block_out]
-
-
-def _scan_sizes(p_size, cap, pool, x, forced, base_mass):
-    """Minimize min(p_size + |T|, cap) - mass(T) over T = forced plus a pool prefix.
-
-    The pool is sorted by larger mass first, lower index on ties, and the
-    candidate subsets are `forced` plus its first m elements,
-    m = 0..len(pool); per size this maximizes the subtracted mass, so the
-    scan visits the per-size minima.  mass(T) is one running sum from
-    `base_mass` (prefix and forced mass) over the pool, and the first
-    minimum wins, so smaller subsets win ties.
-    Returns (best_value, best_members).
-    """
-    pool = np.array(pool, dtype=np.intp)
-    pool = pool[np.lexsort((pool, -x[pool]))]
-    masses = np.empty(len(pool) + 1)
-    masses[0] = base_mass
-    masses[1:] = x[pool]
-    masses.cumsum(out=masses)
-    start = p_size + len(forced)
-    vals = np.arange(start, start + len(pool) + 1, dtype=float)
-    vals[max(cap - start, 0) :] = cap
-    vals -= masses
-    best = int(vals.argmin())
-    return float(vals[best]), forced + pool[:best].tolist()
 
 
 class UniformMatroid(PartitionMatroid):
@@ -673,10 +664,10 @@ def slack_minimize(m: Matroid, x, i, j, window, prefix=frozenset()) -> SlackResu
     `j=None` drops the exclusion constraint (then T ranges over all window
     subsets containing i).  `prefix` must be disjoint from the window; the
     returned argmin is T itself, not prefix|T.  The search is the matroid's
-    own `_slack`: partition and graphic matroids search a window of any
-    size, explicit rank tables read every subset of the window off the
-    table at once, and other kinds enumerate its subsets with one rank call
-    each, which needs a window of at most W_MAX elements.
+    own `_slack`: graphic matroids search a window of any size, explicit
+    rank tables read every subset of the window off the table at once, and
+    other kinds, partition ones included, enumerate its subsets with one
+    rank call each, which needs a window of at most W_MAX elements.
     """
     x = np.asarray(x, dtype=float)
     window_set = _as_set(window, m.n)

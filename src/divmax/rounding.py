@@ -24,13 +24,16 @@ be taken of the form S_{l-1} | T with T inside the ring.  The number of
 fractional elements minus the number of fractional rings drops by at least
 one per step, so a run takes at most n steps.
 
-`build_chain` searches each ring once, one slack search per pair (a, b) of
-neighbours in the ring's sorted cyclic order, a in T and b not: every proper
-nonempty T inside a ring holds some a whose neighbour b it does not hold, so
-a final ring of r elements costs r searches.  A step costs one slack search,
-one product D[S, S] @ x_S over the support S of x (for the value and the
-sign), and the pair scan as array work: each fractional ring r is scored as
-the upper triangle of outer(x_r, x_r) * D[r, r].  The product is formed as
+Partition matroids, uniform ones included, give a ring's pieces and a
+step's length in closed form (`Matroid._ring_piece`, `Matroid._ring_step`)
+and are never searched.  For other kinds `build_chain` searches each ring
+once, one slack search per pair (a, b) of neighbours in the ring's sorted
+cyclic order, a in T and b not: every proper nonempty T inside a ring holds
+some a whose neighbour b it does not hold, so a final ring of r elements
+costs r searches; a step makes one search.  A step also costs one product
+D[S, S] @ x_S over the support S of x (for the value and the sign), and the
+pair scan as array work: each fractional ring r is scored as the upper
+triangle of outer(x_r, x_r) * D[r, r].  The product is formed as
 D[S, :] @ x, equal because x is zero off S: gathering whole rows costs
 O(|S| n), where gathering the |S| x |S| block costs more than D @ x itself
 once S is most of the ground set.
@@ -52,6 +55,7 @@ from .relaxation import _TIE_GRID, _require_certified, _score_vector
 TIGHT_TOL = 1e-7
 BOX_TOL = 1e-9  # how far outside [0, 1] `build_chain` lets a coordinate stray
 SIGN_REL_TOL = 1e-9  # `round_step`'s sign threshold, as a fraction of the value
+MASS_REL_TOL = 1e-6  # how far `build_chain` lets x's mass stray from the rank k, times 1 + k
 
 
 @dataclass(frozen=True)
@@ -164,20 +168,21 @@ def build_chain(m: Matroid, x, *, tol: float = TIGHT_TOL) -> ChainState:
     Zero components are ignored (the support itself is tight because
     x(support) == sum(x) == r(ground set) >= r(support) >= x(support)).
     Integral elements are split off once: no piece of a ring without one
-    has one.  One forward pass then searches each ring R of >= 2 elements
-    for a proper tight subset by slack minimization over the neighbouring
-    pairs (a, b) of its sorted elements taken cyclically, a in T and b not:
-    any proper nonempty T < R has such a pair, so r searches cover every
-    T.  A found subset splits the ring and the pass goes on with the lower
-    piece; a ring without one is final, as later splits change neither it
-    nor its prefix.  So each ring is searched once.
+    has one.  One forward pass then asks the matroid for the first tight
+    piece of each ring R of >= 2 elements, or else searches for one by slack
+    minimization over the neighbouring pairs (a, b) of its sorted elements
+    taken cyclically, a in T and b not: any proper nonempty T < R has such
+    a pair, so r searches cover every T.  A proper piece splits the ring
+    and the pass goes on with the lower piece; a ring without one is final,
+    as later splits change neither it nor its prefix.  So each ring is
+    asked once.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (m.n,):
         raise InvalidInputError(f"x must have shape ({m.n},), got {x.shape}")
     if (x < -BOX_TOL).any() or (x > 1 + BOX_TOL).any():
         raise InvalidInputError("x must lie in [0, 1]^n")
-    if abs(x.sum() - m.full_rank) > 1e-6 * (1 + m.full_rank):
+    if abs(x.sum() - m.full_rank) > MASS_REL_TOL * (1 + m.full_rank):
         raise InvalidInputError(
             f"x has mass {x.sum()}, expected base polytope mass {m.full_rank}"
         )
@@ -189,12 +194,15 @@ def build_chain(m: Matroid, x, *, tol: float = TIGHT_TOL) -> ChainState:
     while pos < len(chain.sets):
         prefix = chain.sets[pos - 1] if pos else frozenset()
         ring = sorted(chain.sets[pos] - prefix)
-        for a, b in (zip(ring, ring[1:] + ring[:1]) if len(ring) > 1 else ()):
+        piece = m._ring_piece(ring) if len(ring) > 1 else ring
+        for a, b in (zip(ring, ring[1:] + ring[:1]) if piece is None else ()):
             res = slack_minimize(m, x, a, b, ring, prefix)
             if res.min_slack <= tol:
                 # a in T, b not: a proper nonempty piece between the neighbours.
-                chain.sets.insert(pos, prefix | res.argmin)
+                piece = res.argmin
                 break
+        if piece is not None and len(piece) < len(ring):
+            chain.sets.insert(pos, prefix | frozenset(piece))
         else:
             pos += 1
     return chain
@@ -249,27 +257,19 @@ def _counts(rings) -> tuple:
     return sum(sizes), len(sizes)
 
 
-def round_step(
-    dm: DistanceMatrix,
-    m: Matroid,
-    x,
-    chain: ChainState,
-    w=None,
-    *,
-    tol: float = TIGHT_TOL,
-) -> StepRecord:
+def round_step(dm: DistanceMatrix, m: Matroid, x, chain: ChainState, w=None) -> StepRecord:
     """Apply one rounding move in place (mutates x and chain).
 
     Sign choice: the objective minus its only eps-nonlinear term,
     2 * x_i * x_j * d(i,j), is linear in eps; move in the non-decreasing
     direction (ties: increase the smaller index).  The step length is
-    min(x_dec, 1 - x_inc, ring slack minimum); an exhausted element is
-    erased (precedence on ties), a binding slack inserts the new tight set.
-    Scores must be finite and nonnegative, as in `round`.
+    min(x_dec, 1 - x_inc, ring slack minimum), in closed form or searched;
+    an exhausted element is erased (precedence on ties), a binding slack
+    inserts the new tight set.  Scores must be finite and nonnegative.
     """
     d = dm.d
     w_vec = _score_vector(w, m.n)
-    rings = chain.rings(x, tol)
+    rings = chain.rings(x)
     i, j = select_pair(dm, x, rings)
     ring = next(r for r in rings if i in r.elements)
     f_before, q_before = _counts(rings)
@@ -287,32 +287,35 @@ def round_step(
     sign = 1 if kappa >= -SIGN_REL_TOL * value_before else -1
     inc, dec = (i, j) if sign == 1 else (j, i)
 
-    res = slack_minimize(m, x, inc, dec, set(ring.elements), ring.prefix)
-    if res.min_slack < -tol * (1 + m.full_rank):
-        raise InternalInvariantError(f"negative ring slack {res.min_slack}")
-    eps = min(float(x[dec]), 1.0 - float(x[inc]), max(res.min_slack, 0.0))
+    step = m._ring_step(x, inc, dec, ring.elements)
+    if step is None:
+        res = slack_minimize(m, x, inc, dec, set(ring.elements), ring.prefix)
+        if res.min_slack < -TIGHT_TOL * (1 + m.full_rank):
+            raise InternalInvariantError(f"negative ring slack {res.min_slack}")
+        step = min(float(x[dec]), 1.0 - float(x[inc]), max(res.min_slack, 0.0)), res.argmin
+    eps, piece = step
 
     x_inc, x_dec = float(x[inc]), float(x[dec])
     x[inc] += eps
     x[dec] -= eps
-    if x[dec] <= tol:
+    if x[dec] <= TIGHT_TOL:
         # Erase-first rule: the exhausted element leaves the ground set.
         x[dec] = 0.0
         chain.erase(dec)
         event = "erased"
         new_tight = None
     else:
-        new_tight = ring.prefix | res.argmin
+        new_tight = ring.prefix | piece
         chain.insert(new_tight)
         event = "refined"
-    if x[inc] >= 1.0 - tol:
+    if x[inc] >= 1.0 - TIGHT_TOL:
         x[inc] = 1.0
-    chain.normalize_integral(x, tol)
+    chain.normalize_integral(x)
 
     # D @ x on S after the step, from the two coordinates that moved.
     dx += (x[inc] - x_inc) * d[inc] + (x[dec] - x_dec) * d[dec]
     value_after = float(x @ dx + w_vec @ x)
-    f_after, q_after = _counts(chain.rings(x, tol))
+    f_after, q_after = _counts(chain.rings(x))
     if f_after - q_after >= f_before - q_before:
         raise InternalInvariantError(
             f"progress measure did not decrease: {f_before}-{q_before} -> {f_after}-{q_after}"
@@ -370,16 +373,15 @@ def round(
     x_star,
     w=None,
     *,
-    tol: float = TIGHT_TOL,
     keep_iterates: bool = False,
     validate_steps: bool = False,
     force: bool = False,
 ) -> RoundResult:
     """Round x* in the base polytope to a basis of the matroid.
 
-    Each of at most n iterations costs one slack search and one
-    D[S, S] @ x_S over the support S of x; the only n x n products are the
-    two that give `quad_star` and the final value.
+    Each of at most n iterations costs one D[S, S] @ x_S over the support
+    S of x, and a slack search if the step has no closed form; the only
+    n x n products are the two that give `quad_star` and the final value.
     x* is first rounded to multiples of 2^-40, so coordinates that are equal
     in exact arithmetic tie exactly and the pair rule's index order decides
     between them.  `validate_steps` re-checks all chain invariants after
@@ -395,8 +397,8 @@ def round(
         raise InvalidInputError(f"x must have shape ({m.n},), got {x.shape}")
     w_vec = _score_vector(w, m.n)
     x = np.round(x / _TIE_GRID) * _TIE_GRID
-    x[x <= tol] = 0.0
-    x[x >= 1.0 - tol] = 1.0
+    x[x <= TIGHT_TOL] = 0.0
+    x[x >= 1.0 - TIGHT_TOL] = 1.0
     k = m.full_rank
     if k == 0:
         empty_trace = RoundingTrace((), 0.0, 0.0, 0, (), () if keep_iterates else None)
@@ -404,24 +406,24 @@ def round(
 
     quad_star = float(x @ dm.d @ x)
 
-    chain = build_chain(m, x, tol=tol)
+    chain = build_chain(m, x)
     if validate_steps:
-        chain.validate(m, x, tol)
+        chain.validate(m, x)
     records = []
     iterates = [x.copy()] if keep_iterates else None
-    fractional, _ = _counts(chain.rings(x, tol))
+    fractional, _ = _counts(chain.rings(x))
     while fractional:
-        rec = round_step(dm, m, x, chain, w_vec, tol=tol)
+        rec = round_step(dm, m, x, chain, w_vec)
         fractional = rec.fractional_after
         records.append(rec)
         if keep_iterates:
             iterates.append(x.copy())
         if validate_steps:
-            chain.validate(m, x, tol)
+            chain.validate(m, x)
         if len(records) > m.n:
             raise InternalInvariantError("rounding exceeded the n-iteration bound")
 
-    basis = tuple(int(e) for e in np.nonzero(x >= 1.0 - tol)[0])
+    basis = tuple(int(e) for e in np.nonzero(x >= 1.0 - TIGHT_TOL)[0])
     if len(basis) != k or not m.is_independent(basis):
         raise InternalInvariantError("rounded output is not a basis")
     total = len(records)

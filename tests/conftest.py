@@ -334,10 +334,11 @@ def reference_build_chain(m, x, tol: float = TIGHT_TOL):
 def reference_scan_slack(m, x, i, j, window, prefix=frozenset()):
     """Partition slack search (uniform: one block) as a Python scan over pool prefixes.
 
-    The scan `divmax.slack_minimize` ran before it became a cumsum and an
-    argmin: per block, the pool sorted by (-x[e], e), masses accumulated
-    one element at a time from the prefix mass (plus x[i] when i is in the
-    block), strict improvements only.  Returns (min_slack, argmin).
+    An oracle independent of the subset enumeration that answers
+    `divmax.slack_minimize` on partition matroids: per block, the pool
+    sorted by (-x[e], e), masses accumulated one element at a time from the
+    prefix mass (plus x[i] when i is in the block), strict improvements
+    only.  Returns (min_slack, argmin).
     """
     prefix = frozenset(int(e) for e in prefix)  # summed in the order slack_minimize sees
     total, members = 0.0, []

@@ -278,6 +278,9 @@ class TestSlackMinimize:
 
         with pytest.raises(InvalidInputError, match="brute-force cap"):
             divmax.slack_minimize(PathRank(), x, 0, 1, range(n))
+        # Partition matroids too: the rounding asks them no search.
+        with pytest.raises(InvalidInputError, match="brute-force cap"):
+            divmax.slack_minimize(divmax.UniformMatroid(n, 3), x, 0, 1, range(n))
         m = divmax.GraphicMatroid(n + 1, [(v, v + 1) for v in range(n)])
         res = divmax.slack_minimize(m, x, 0, 1, range(n))
         # Every edge set of a path is independent, so T = {0} is best.
@@ -308,11 +311,24 @@ class TestSlackMinimize:
         assert res.min_slack == pytest.approx(val, abs=1e-12)
         assert res.argmin == members
 
+    @staticmethod
+    def assert_matches_scan(m, x, i, j, window, prefix):
+        """The loop reference's minimum, reached by the set found."""
+        res = divmax.slack_minimize(m, x, i, j, window, prefix)
+        val, _ = reference_scan_slack(m, x, i, j, window, prefix)
+        tol = 1e-12 * (1 + m.full_rank)
+        assert abs(res.min_slack - val) <= tol
+        assert i in res.argmin and j not in res.argmin and res.argmin <= window
+        chosen = prefix | res.argmin
+        assert abs(m.rank(chosen) - float(sum(x[e] for e in chosen)) - val) <= tol
+
     @pytest.mark.parametrize("seed", range(40))
     def test_scans_match_loop_reference(self, seed):
-        # Exactly the loop's value and set, on masses that tie often.
+        # Partition windows are searched subset by subset (at most W_MAX
+        # elements); the per-block scan is the oracle, on masses that tie
+        # often.
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 40))
+        n = int(rng.integers(3, 11))
         m = random_matroid(seed, n)
         x = rng.choice([0.0, 0.125, 1 / 3, 0.5, 0.75, 1.0], size=n) if seed % 2 else rng.random(n)
         for _ in range(10):
@@ -321,8 +337,7 @@ class TestSlackMinimize:
             prefix, window = frozenset(perm[:cut]), frozenset(perm[cut:])
             i = perm[cut]
             j = perm[cut + 1] if rng.random() < 0.7 else None
-            res = divmax.slack_minimize(m, x, i, j, window, prefix)
-            assert (res.min_slack, res.argmin) == reference_scan_slack(m, x, i, j, window, prefix)
+            self.assert_matches_scan(m, x, i, j, window, prefix)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_scan_skips_blocks_without_window_elements(self, seed):
@@ -333,8 +348,7 @@ class TestSlackMinimize:
         x = rng.choice([0.0, 0.25, 0.5, 1.0], size=10) if seed % 2 else rng.random(10)
         prefix, window = frozenset({1, 2, 8}), frozenset({0, 5, 6, 7})
         for j in (5, None):
-            res = divmax.slack_minimize(m, x, 0, j, window, prefix)
-            assert (res.min_slack, res.argmin) == reference_scan_slack(m, x, 0, j, window, prefix)
+            self.assert_matches_scan(m, x, 0, j, window, prefix)
 
     def test_j_none_drops_exclusion(self):
         m = divmax.UniformMatroid(3, 2)

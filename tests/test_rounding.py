@@ -7,7 +7,14 @@ import divmax
 from divmax.errors import CertificationError, InternalInvariantError, InvalidInputError
 from divmax.rounding import ChainState, build_chain, round_step, select_pair
 
-from conftest import counting_view, random_certified, random_matroid, reference_round
+from conftest import (
+    RankOnly,
+    counting_view,
+    random_certified,
+    random_matroid,
+    reference_build_chain,
+    reference_round,
+)
 
 BAD_SCORES = pytest.mark.parametrize(
     "w", [np.ones(3), [np.nan, 1.0, 1.0, 1.0], [np.inf, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0]],
@@ -97,13 +104,15 @@ class TestBuildChain:
         return calls
 
     def test_each_slack_search_made_once(self, monkeypatch):
-        # Neighbouring pairs: (0, 1), (1, 2) split off {0, 1}; (0, 1), (1, 0)
+        # A partition matroid tabulated, so that the chain is searched:
+        # neighbouring pairs (0, 1), (1, 2) split off {0, 1}; (0, 1), (1, 0)
         # find {0, 1} final; (2, 3), (3, 4) split off {2, 3}; then two
         # searches each for {2, 3} and {4, 5}.  The star pairs (i0, j),
         # (j, i0) made 12 distinct searches, and restarting from the first
         # ring after each split made 14.
         calls = self.recorded_searches(monkeypatch)
-        m = divmax.PartitionMatroid([[0, 1], [2, 3], [4, 5]], [1, 1, 1])
+        m = divmax.ExplicitRankMatroid.from_matroid(
+            divmax.PartitionMatroid([[0, 1], [2, 3], [4, 5]], [1, 1, 1]))
         x = np.full(6, 0.5)
         chain = build_chain(m, x)
         assert [set(r.elements) for r in chain.rings(x)] == [{0, 1}, {2, 3}, {4, 5}]
@@ -111,11 +120,23 @@ class TestBuildChain:
 
     @pytest.mark.parametrize("r", [2, 3, 7, 12])
     def test_final_ring_costs_one_search_per_element(self, monkeypatch, r):
-        # The star pairs (i0, j), (j, i0) made 2(r - 1) searches.
+        # A uniform matroid tabulated, so that the ring is searched.  The
+        # star pairs (i0, j), (j, i0) made 2(r - 1) searches.
         calls = self.recorded_searches(monkeypatch)
-        chain = build_chain(divmax.UniformMatroid(r, 1), np.full(r, 1 / r))
+        m = divmax.ExplicitRankMatroid.from_matroid(divmax.UniformMatroid(r, 1))
+        chain = build_chain(m, np.full(r, 1 / r))
         assert chain.sets == [frozenset(range(r))]
         assert [(i, j) for i, j, _, _ in calls] == [(e, (e + 1) % r) for e in range(r)]
+
+    def test_partition_chain_makes_no_search(self, monkeypatch):
+        # A ring splits into its blocks' parts, ordered by smallest element.
+        calls = self.recorded_searches(monkeypatch)
+        m = divmax.PartitionMatroid([[0, 4, 5], [1, 2], [3]], [2, 1, 1])
+        x = np.array([0.5, 0.5, 0.5, 1.0, 0.75, 0.75])
+        chain = build_chain(m, x)
+        assert [set(r.elements) for r in chain.rings(x)] == [{3}, {0, 4, 5}, {1, 2}]
+        chain.validate(m, x)
+        assert calls == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_base_points_validate(self, seed):
@@ -210,6 +231,20 @@ class TestRoundStep:
             rec = round_step(dm, m, x, chain)
             assert rec.loss <= budget + 1e-9
             chain.validate(m, x)
+
+    def test_ring_across_blocks_is_searched(self):
+        # A chain that is not maximal: the one ring spans both blocks, so
+        # the cheapest pair (0, 2) cannot move by min(x_dec, 1 - x_inc)
+        # without overfilling a block.  The search finds block {0, 1} tight.
+        d = np.full((4, 4), 10.0)
+        d[0, 2] = d[2, 0] = 1.0
+        np.fill_diagonal(d, 0.0)
+        m = divmax.PartitionMatroid([[0, 1], [2, 3]], [1, 1])
+        x = np.full(4, 0.5)
+        chain = ChainState([{0, 1, 2, 3}])
+        rec = round_step(divmax.DistanceMatrix(d), m, x, chain)
+        assert (rec.pair, rec.eps, rec.event) == ((0, 2), 0.0, "refined")
+        assert rec.new_tight_set == frozenset({0, 1}) and (x == 0.5).all()
 
     @BAD_SCORES
     def test_scores_checked(self, allones_dm4, w):
@@ -336,6 +371,20 @@ class TestRound:
         assert len(res.trace.iterations) > 390
         assert type(counting).products == 2
 
+    @pytest.mark.parametrize("matroid, k", [("uniform", 20), ("partition", 3)])
+    def test_partition_kinds_round_with_no_search(self, monkeypatch, matroid, k):
+        # Interior optima of 394 and 102 steps: a partition ring is its
+        # block's fractional part and a step is min(x_dec, 1 - x_inc), so
+        # neither the chain nor a step searches.
+        n, seed = (400, 1) if matroid == "uniform" else (120, 2)
+        doc = divmax.gen_random_points(n, 6, "cosine", seed, matroid=matroid, k=k)
+        dm, m, w = divmax.materialize(doc)
+        x_star = divmax.sweep_slices(dm, m, w).best.point.x
+        calls = TestBuildChain.recorded_searches(monkeypatch)
+        res = divmax.round(dm, m, x_star, w, validate_steps=True)
+        assert len(res.trace.iterations) > 100
+        assert calls == []
+
     def test_with_scores_quadratic_budget(self):
         rng = np.random.default_rng(5)
         for seed in range(6):
@@ -388,10 +437,56 @@ def test_matches_reference_rounding(seed):
     basis, value, steps = reference_round(dm, m, x_star, w)
     assert res.basis == basis
     assert res.value == value
+    got = [(r.pair, r.sign, r.event, r.new_tight_set) for r in res.trace.iterations]
+    assert got == [(s["pair"], s["sign"], s["event"], s["new_tight_set"]) for s in steps]
+    # Partition steps are min(x_dec, 1 - x_inc).  The reference's search
+    # reads the ring's mass, which the 2^-40 snap of x* leaves a few grid
+    # units off an integer, so its step can differ in the last bits.
+    for rec, ref in zip(res.trace.iterations, steps):
+        assert abs(rec.eps - ref["eps"]) <= 1e-12 * rec.value_before
+        assert abs(rec.loss - ref["loss"]) <= 1e-12 * rec.value_before
+
+
+def _partition_base_point(seed: int):
+    """A random partition matroid on at most 12 elements, and a base of it.
+
+    Every fourth matroid is uniform; the others have 2-4 blocks, most of
+    them with spare elements.  x averages 8 random bases, so its sums are
+    exact in floating point and many coordinates tie, or are 0 or 1.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 13))
+    if seed % 4 == 0:
+        m = divmax.UniformMatroid(n, int(rng.integers(1, n)))
+    else:
+        blocks = np.array_split(rng.permutation(n), int(rng.integers(2, min(4, n // 2) + 1)))
+        m = divmax.PartitionMatroid(blocks, [int(rng.integers(1, len(b))) for b in blocks])
+    x = np.zeros(n)
+    for _ in range(8):
+        x += divmax.greedy_basis_lmo(m, m.full_rank, rng.standard_normal(n))
+    return m, x / 8
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_partition_chain_matches_searched_reference(seed):
+    # The blocks' parts, ordered by smallest element, are the rings that
+    # rank-oracle searches find, ring for ring.
+    m, x = _partition_base_point(seed)
+    assert build_chain(m, x).sets == reference_build_chain(RankOnly(m), x).sets
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_partition_rounding_matches_searched_reference(seed):
+    # Steps of min(x_dec, 1 - x_inc) refining with {inc} are the steps that
+    # rank-oracle searches take; on exact sums, bit for bit.
+    m, x = _partition_base_point(seed)
+    dm = random_certified(seed, m.n, DISTANCE_KINDS[seed % 5])
+    w = np.random.default_rng(seed).uniform(0.0, 1.0, size=m.n) if seed % 2 else None
+    res = divmax.round(dm, m, x, w=w)
+    basis, value, steps = reference_round(dm, RankOnly(m), x, w)
+    assert (res.basis, res.value) == (basis, value)
     got = [(r.pair, r.sign, r.eps, r.event, r.new_tight_set) for r in res.trace.iterations]
     assert got == [(s["pair"], s["sign"], s["eps"], s["event"], s["new_tight_set"]) for s in steps]
-    for rec, ref in zip(res.trace.iterations, steps):
-        assert abs(rec.loss - ref["loss"]) <= 1e-12 * rec.value_before
 
 
 class TestGuaranteeFactor:

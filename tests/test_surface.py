@@ -32,12 +32,13 @@ def test_all_is_sorted_unique_and_resolves():
 
 # Options no pipeline caller needs: the negative-type verdict is computed
 # once per DistanceMatrix, the slice iteration cap is ITER_CAP_SCALE * n *
-# alpha, and the local search starts from the greedy basis and runs to a
-# local optimum.
+# alpha, rounding snaps and steps at TIGHT_TOL, and the local search starts
+# from the greedy basis and runs to a local optimum.
 REMOVED_PARAMETERS = {
     "solve_slice": ("certificate", "max_iters"),
     "sweep_slices": ("certificate", "max_iters"),
-    "round": ("certificate",),
+    "round": ("certificate", "tol"),
+    "round_step": ("tol",),
     "local_search_half": ("seed_basis", "max_sweeps"),
 }
 
