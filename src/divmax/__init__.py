@@ -30,7 +30,6 @@ from .geometry import (
     build_distance,
     certify_negative_type,
     check_union_inequality,
-    dispersion,
     is_metric,
     schoenberg_form,
     transform_distance,
@@ -109,7 +108,6 @@ __all__ = [
     "canonical_dumps",
     "certify_negative_type",
     "check_union_inequality",
-    "dispersion",
     "doc_from_json",
     "doc_to_json",
     "gen_dks_reduction",

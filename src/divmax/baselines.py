@@ -46,7 +46,7 @@ def brute_force_opt(dm: DistanceMatrix, m: Matroid, w=None) -> SubsetResult:
     Only bases are enumerated: with D >= 0 and w >= 0 adding an element
     never lowers the value, and every independent set lies in a basis, so
     some basis is optimal.  (The same monotonicity lets the relaxation solve
-    the top slice alone.)  The matroid lists its bases in lexicographic
+    on the base polytope alone.)  The matroid lists its bases in lexicographic
     order (`Matroid._bases`): per-block products for partition matroids,
     uniform ones included, and otherwise the k-combinations that
     `Matroid._independent` keeps, as array work for graphic (forests) and
@@ -100,10 +100,9 @@ def local_search_half(dm: DistanceMatrix, m: Matroid, w=None) -> LocalSearchResu
     n = m.n
     if dm.n != n:
         raise InvalidInputError(f"distance has n={dm.n} but matroid has n={n}")
-    k = m.full_rank
     d = dm.d
     w_vec = _score_vector(w, n)
-    in_basis = greedy_basis_lmo(m, k, np.zeros(n)) > 0 if k else np.zeros(n, dtype=bool)
+    in_basis = greedy_basis_lmo(m, np.zeros(n)) > 0
 
     swaps = 0
     while True:

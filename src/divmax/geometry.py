@@ -264,11 +264,15 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
 
     Set-based kinds require `universe` (an int size or an iterable of items).
 
-    Memory: beyond the n x n result and the read-only copy DistanceMatrix
-    keeps, no temporary has more than n * n floats.  l1 and lp work one
-    block of rows at a time, each block's (rows, n, dim) difference tensor
-    capped near _BLOCK_BYTES (1 MiB); l2 forms the Gram matrix in the result
-    buffer and recomputes cancelling pairs in blocks of the same size.
+    Memory: the peak counts the n x n result and the read-only copy that
+    DistanceMatrix keeps.  Traced with tracemalloc at n = 1000 (8-dim
+    points, a 60-item universe), in n * n floats: l1, lp and l2 2.0, cosine
+    3.0, simple_matching and russell_rao 5.1, dice 5.2, jaccard 6.2.  l1
+    and lp work one block of rows at a time, each block's (rows, n, dim)
+    difference tensor capped near _BLOCK_BYTES (1 MiB); l2 forms the Gram
+    matrix in the result buffer and recomputes cancelling pairs in blocks
+    of the same size.  Cosine and the set kinds hold several n x n
+    temporaries at once.
     """
     if kind == "explicit":
         return DistanceMatrix(np.asarray(data, dtype=float))
@@ -319,8 +323,8 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
     raise InvalidInputError(f"unknown distance kind {kind!r}")
 
 
-def is_metric(dm: DistanceMatrix, tol: float = METRIC_TOL) -> bool:
-    """Check the triangle inequality d(i,j) <= d(i,k) + d(k,j) up to `tol`."""
+def is_metric(dm: DistanceMatrix) -> bool:
+    """Check the triangle inequality d(i,j) <= d(i,k) + d(k,j) up to METRIC_TOL."""
     d = dm.d
     # through[i, j] = min_k d(i, k) + d(k, j), accumulated one k at a time.
     through = np.full_like(d, np.inf)
@@ -328,7 +332,7 @@ def is_metric(dm: DistanceMatrix, tol: float = METRIC_TOL) -> bool:
     for k in range(dm.n):
         np.add(d[:, k, None], d[k, None, :], out=via)
         np.minimum(through, via, out=through)
-    return bool(np.all(d <= through + tol))
+    return bool(np.all(d <= through + METRIC_TOL))
 
 
 def transform_distance(
@@ -497,23 +501,6 @@ def _certify(dm: DistanceMatrix) -> NegTypeCertificate:
     return NegTypeCertificate(
         is_negative_type=False, min_eigenvalue=min_eig, witness=b, witness_value=value
     )
-
-
-def dispersion(dm: DistanceMatrix, x, w=None) -> float:
-    """Ordered-pair dispersion x @ D @ x, plus w @ x when scores are given.
-
-    For an indicator vector this counts every unordered pair twice.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dm.n,):
-        raise InvalidInputError(f"x must have shape ({dm.n},), got {x.shape}")
-    val = float(x @ dm.d @ x)
-    if w is not None:
-        w = np.asarray(w, dtype=float)
-        if w.shape != (dm.n,):
-            raise InvalidInputError(f"w must have shape ({dm.n},), got {w.shape}")
-        val += float(w @ x)
-    return val
 
 
 def check_union_inequality(dm: DistanceMatrix, x, a, b) -> UnionInequalityCheck:

@@ -47,7 +47,6 @@ def gen_random_points(
     k: int | None = None,
     set_size: int | None = None,
     with_scores: bool = False,
-    transforms: list | None = None,
 ) -> InstanceDoc:
     """Random instance with a catalogue distance and a uniform or partition matroid.
 
@@ -93,8 +92,6 @@ def gen_random_points(
         distance = {"kind": kind, "sets": sets, "universe": int(dim)}
     else:
         raise InvalidInputError(f"unknown distance kind {kind!r}")
-    if transforms:
-        distance["transforms"] = list(transforms)
     scores = [float(v) for v in rng.random(n)] if with_scores else None
     return InstanceDoc(
         n=n,

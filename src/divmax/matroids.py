@@ -9,8 +9,8 @@ oracle alone, and each kind overrides those it answers faster:
   * `_independent` -- which rows of elements are independent sets, one rank
                     call per row (graphic: a row-parallel union-find;
                     explicit rank: one table read of the rows' bitmasks)
-  * `_greedy`    -- greedy independent set along an order, up to alpha
-                    elements (partition: block counts; graphic: a
+  * `_greedy`    -- greedy independent set along an order, up to a count
+                    of elements (partition: block counts; graphic: a
                     union-find forest; explicit rank: table lookups)
   * `_slack`     -- min of r(prefix|T) - x(prefix|T) over windowed T that
                     contain i and avoid j (graphic: one minimum cut per
@@ -122,13 +122,13 @@ class Matroid:
             self._full_rank = cached
         return cached
 
-    def _greedy(self, order: np.ndarray, alpha: int) -> list:
-        """Elements of `order` kept while independent, stopping at alpha of them."""
+    def _greedy(self, order: np.ndarray, count: int) -> list:
+        """Elements of `order` kept while independent, stopping at `count` of them."""
         taken: list[int] = []
         for e in order:
             if self.rank(taken + [e]) == len(taken) + 1:
                 taken.append(e)
-                if len(taken) == alpha:
+                if len(taken) == count:
                     break
         return taken
 
@@ -239,14 +239,14 @@ class PartitionMatroid(Matroid):
             counts[block_of[e]] += 1
         return sum(map(min, counts, self.capacities))
 
-    def _greedy(self, order: np.ndarray, alpha: int) -> list:
+    def _greedy(self, order: np.ndarray, count: int) -> list:
         spare = list(self.capacities)
         taken: list[int] = []
         for e, bi in zip(order.tolist(), self.block_of[order].tolist()):
             if spare[bi]:
                 spare[bi] -= 1
                 taken.append(e)
-                if len(taken) == alpha:
+                if len(taken) == count:
                     break
         return taken
 
@@ -331,14 +331,14 @@ class GraphicMatroid(Matroid):
         parent = list(range(self.num_vertices))
         return sum(_link(parent, *self.edges[e]) for e in sorted(_as_set(subset, self.n)))
 
-    def _greedy(self, order: np.ndarray, alpha: int) -> list:
+    def _greedy(self, order: np.ndarray, count: int) -> list:
         parent = list(range(self.num_vertices))
         edges = self.edges
         taken: list[int] = []
         for e in order:
             if _link(parent, *edges[e]):
                 taken.append(e)
-                if len(taken) == alpha:
+                if len(taken) == count:
                     break
         return taken
 
@@ -511,7 +511,7 @@ class ExplicitRankMatroid(Matroid):
             mask |= 1 << e
         return int(self.ranks[mask])
 
-    def _greedy(self, order: np.ndarray, alpha: int) -> list:
+    def _greedy(self, order: np.ndarray, count: int) -> list:
         ranks = self.ranks
         mask = 0
         taken: list[int] = []
@@ -520,7 +520,7 @@ class ExplicitRankMatroid(Matroid):
             if ranks[grown] == len(taken) + 1:
                 mask = grown
                 taken.append(e)
-                if len(taken) == alpha:
+                if len(taken) == count:
                     break
         return taken
 
@@ -618,27 +618,27 @@ def validate_rank_table(ranks) -> None:
                 )
 
 
-def greedy_basis_lmo(m: Matroid, alpha: int, w) -> np.ndarray:
-    """Max-weight basis of the rank-alpha truncation, as a 0/1 float vector.
+def greedy_basis_lmo(m: Matroid, w) -> np.ndarray:
+    """Max-weight basis of M, as a 0/1 float vector.
 
-    Elements are scanned by decreasing weight (ties: lower index first) and
-    kept while independent, stopping at alpha elements.  Because every basis
-    of the truncation has exactly alpha elements, this greedy scan maximizes
-    w @ x over the slice vertices even for negative weights.
+    The bases are the vertices of the base polytope, so this is the linear
+    subproblem of the relaxation.  Elements are scanned by decreasing weight
+    (ties: lower index first) and kept while independent, stopping at
+    k = rank(M) elements.  Because every basis has exactly k elements, this
+    greedy scan maximizes w @ x over the base polytope even for negative
+    weights.  A matroid of rank 0 gives the empty basis.
 
     Only a prefix of that order is sorted: the c heaviest elements and every
-    one tied with the lightest of them.  A scan that takes alpha elements of
-    the prefix takes what it would take along the full order.  c starts at
-    alpha and grows fourfold until the scan fills or the prefix is all of
-    the ground set.
+    one tied with the lightest of them.  A scan that takes k elements of the
+    prefix takes what it would take along the full order.  c starts at k (1
+    at rank 0) and grows fourfold until the scan fills or the prefix is all
+    of the ground set.
     """
-    alpha = int(alpha)
-    if not 1 <= alpha <= m.full_rank:
-        raise InvalidInputError(f"alpha must be in [1, {m.full_rank}], got {alpha}")
     w = np.asarray(w, dtype=float)
     if w.shape != (m.n,):
         raise InvalidInputError(f"weights must have shape ({m.n},), got {w.shape}")
-    keys, c = -w, alpha
+    k = m.full_rank
+    keys, c = -w, max(k, 1)
     while True:
         if c < m.n:
             part = keys.copy()
@@ -647,12 +647,12 @@ def greedy_basis_lmo(m: Matroid, alpha: int, w) -> np.ndarray:
         else:
             prefix = np.arange(m.n)
         # A stable sort keeps index order among equal keys.
-        taken = m._greedy(prefix[keys[prefix].argsort(kind="stable")], alpha)
-        if len(taken) == alpha or len(prefix) == m.n:
+        taken = m._greedy(prefix[keys[prefix].argsort(kind="stable")], k)
+        if len(taken) == k or len(prefix) == m.n:
             break
         c *= 4
-    if len(taken) != alpha:
-        raise InternalInvariantError("greedy failed to reach the requested truncation rank")
+    if len(taken) != k:
+        raise InternalInvariantError("greedy failed to reach the rank")
     x = np.zeros(m.n)
     x[taken] = 1.0
     return x

@@ -1,25 +1,25 @@
 """Concave relaxation of max-sum diversification on the base polytope.
 
-For a negative-type distance matrix D the dispersion g(x) = x @ D @ x + w @ x
-is concave on each slice {x in P(M) : sum(x) == alpha} (the base polytope of
-the rank-alpha truncation).  Every slice vertex has mass alpha, so by the
-Schoenberg form x @ D @ x = 2 * alpha * (c @ x) - 2 * (x @ Q @ x) there: a
-concave quadratic, and the slice program is a nearest-point problem in the
+The relaxation maximizes g(x) = x @ D @ x + w @ x over the base polytope
+B(M) = {x in P(M) : sum(x) == k}, k = rank(M), whose vertices are the
+bases.  Every point of B(M) has mass k, so by the Schoenberg form
+x @ D @ x = 2 * k * (c @ x) - 2 * (x @ Q @ x) there: for D of negative type
+a concave quadratic, and the program is a nearest-point problem in the
 negative-type embedding plus a linear term.  It is solved by Wolfe's
 nearest-point method, a fully-corrective conditional-gradient loop: the
 linear subproblems are exact greedy basis computations, and after each one
 the objective is maximized exactly over the convex hull of the active
-vertices.  Every iterate is an explicit convex combination of slice
-vertices and therefore feasible to machine precision.
+vertices.  Every iterate is an explicit convex combination of bases and
+therefore feasible to machine precision.
 
-The slice `gap` is a first-order optimality certificate: for concave g, max
-over the slice of g is at most value + gap.  Only the top slice, alpha =
-rank(ground set), is needed.  Because D >= 0 and w >= 0, g does not decrease
-when any coordinate of x >= 0 grows, and every point of P(M) lies below some
-point of the base polytope.  So the slice maximum does not decrease in
-alpha, and the top slice's value + gap bounds g on every independent set.
-That slice is also the only one rounding accepts, since rounding needs base
-mass.  With negative scores the argument fails, so they are refused.
+The `gap` is a first-order optimality certificate: for concave g, max over
+B(M) of g is at most value + gap.  No face of smaller mass is solved.
+Because D >= 0 and w >= 0, g does not decrease when any coordinate of
+x >= 0 grows, and every point of P(M) lies below some point of B(M).  So
+the maximum of g over {x in P(M) : sum(x) == alpha} does not decrease in
+alpha, and value + gap bounds g on every independent set.  B(M) is also
+the only face rounding accepts, since rounding needs base mass.  With
+negative scores the argument fails, so they are refused.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .geometry import DistanceMatrix, certify_negative_type
 from .matroids import FractionalPoint, Matroid, greedy_basis_lmo
 
 GAP_TOL_DEFAULT = 1e-6
-# A slice solve stops after ITER_CAP_SCALE * n * alpha iterations.
+# A solve stops after ITER_CAP_SCALE * n * rank(M) iterations.
 ITER_CAP_SCALE = 50
 # Inside the loop the oracle sees the gradient rounded to this fraction of
 # its largest entry; see `_snap`.
@@ -42,11 +42,12 @@ _TIE_GRID = 2.0**-40
 
 @dataclass(frozen=True)
 class SliceSolution:
-    """Solver output for one slice: iterate, value, and gap certificate.
+    """Solver output on the base polytope: iterate, value, and gap certificate.
 
-    `iterations` counts outer iterations (one LMO call and one face solve
-    each), `value_trace` holds the value before the first and after each,
-    and `max_active` is the peak number of active vertices.
+    `alpha` is the mass of the point, rank(M).  `iterations` counts outer
+    iterations (one LMO call and one face solve each), `value_trace` holds
+    the value before the first and after each, and `max_active` is the peak
+    number of active vertices.
     """
 
     alpha: int
@@ -62,7 +63,7 @@ class SliceSolution:
 
 @dataclass(frozen=True)
 class RelaxationResult:
-    """Base-polytope slice solution and the upper bound on the integer optimum."""
+    """Base-polytope solution and the upper bound on the integer optimum."""
 
     best: SliceSolution
     opt_upper_bound: float
@@ -117,21 +118,21 @@ def _sum_zero_basis(size: int) -> np.ndarray:
 
 
 class _ActiveSet:
-    """Active slice vertices, their weights and their Gram matrix, in growable arrays.
+    """Active bases, their weights and their Gram matrix, in growable arrays.
 
-    Row r holds a vertex's support (alpha sorted indices), its cached D @ v,
+    Row r holds a vertex's support (k sorted indices), its cached D @ v,
     its score w @ v and its weight lam[r]; gram[r, s] = v_r @ D @ v_s.  With
     x = sum_r lam[r] v_r the objective is lam @ gram @ lam + score @ lam.  A
     dict maps each support to its row, so a vertex the oracle returns again
     is found again.  Rows keep insertion order.
     """
 
-    def __init__(self, d: np.ndarray, w: np.ndarray, alpha: int):
+    def __init__(self, d: np.ndarray, w: np.ndarray, k: int):
         self._d = d
         self._w = w
         self._n = d.shape[0]
         self.size = 0
-        self.supports = np.empty((16, alpha), dtype=np.intp)
+        self.supports = np.empty((16, k), dtype=np.intp)
         self.dv = np.empty((16, self._n))
         self.score = np.empty(16)
         self.lam = np.zeros(16)
@@ -141,8 +142,8 @@ class _ActiveSet:
     def find_or_add(self, support: np.ndarray) -> int:
         """Row of the vertex with this support, added with weight 0 if new.
 
-        A new vertex costs O(n * alpha) for D @ v, a sum of alpha rows of D,
-        and O(size * alpha) for its row of the Gram matrix.
+        A new vertex costs O(n * k) for D @ v, a sum of k rows of D, and
+        O(size * k) for its row of the Gram matrix.
         """
         row = self._rows.get(support.tobytes())
         if row is not None:
@@ -172,9 +173,8 @@ class _ActiveSet:
 
     def point(self) -> np.ndarray:
         """The convex combination x = sum_r lam[r] * v_r."""
-        alpha = self.supports.shape[1]
         live = self.supports[: self.size].ravel()
-        weights = np.repeat(self.lam[: self.size], alpha)
+        weights = np.repeat(self.lam[: self.size], self.supports.shape[1])
         return np.bincount(live, weights=weights, minlength=self._n)
 
     def products(self) -> np.ndarray:
@@ -242,46 +242,51 @@ class _ActiveSet:
 def solve_slice(
     dm: DistanceMatrix,
     m: Matroid,
-    alpha: int,
     w=None,
     *,
     gap_tol: float = GAP_TOL_DEFAULT,
     force: bool = False,
 ) -> SliceSolution:
-    """Maximize x @ D @ x + w @ x over {x in P(M) : sum(x) == alpha}.
+    """Maximize x @ D @ x + w @ x over the base polytope of M.
 
     Fully-corrective conditional gradient (Wolfe's method): each iteration
-    makes one greedy LMO call, adds the vertex it returns to the active set
-    and maximizes exactly over the convex hull of the active vertices (see
+    makes one greedy LMO call, adds the basis it returns to the active set
+    and maximizes exactly over the convex hull of the active bases (see
     `_ActiveSet.maximize_face`).  Terminates once the linearization gap
     drops to gap_tol * value (the value is >= 0, so the rule does not change
-    when D and w are scaled together), after ITER_CAP_SCALE * n * alpha
-    iterations, or when an iteration neither raises the value nor keeps a
-    new vertex, which happens only at rounding level.  D must be certified
+    when D and w are scaled together), after ITER_CAP_SCALE * n * k
+    iterations, k = rank(M), or when an iteration neither raises the value
+    nor keeps a new vertex, which happens only at rounding level.  gap_tol
+    must be finite and >= 0, scores finite and nonnegative, and D certified
     of negative type (`certify_negative_type`, computed once per matrix)
-    unless `force` is set.
+    unless `force` is set.  A matroid of rank 0 gives the zero point, with
+    value and gap 0.
 
-    One iteration costs O(n * alpha) for the new vertex's D @ v, a sum of
-    alpha rows of D, O(size * alpha) for its Gram row, O(size * n) for
-    D @ x, and O(size^3) per face solve, with size <= n + 1 active
-    vertices, plus one LMO call.  No n x n product runs inside the loop; the
-    returned value and gap come from one exact D @ x.
+    One iteration costs O(n * k) for the new vertex's D @ v, a sum of k
+    rows of D, O(size * k) for its Gram row, O(size * n) for D @ x, and
+    O(size^3) per face solve, with size <= n + 1 active vertices, plus one
+    LMO call.  No n x n product runs inside the loop; the returned value
+    and gap come from one exact D @ x.
     """
     if dm.n != m.n:
         raise InvalidInputError(f"distance has n={dm.n} but matroid has n={m.n}")
-    alpha = int(alpha)
-    if not 1 <= alpha <= m.full_rank:
-        raise InvalidInputError(f"alpha must be in [1, {m.full_rank}], got {alpha}")
-    _require_certified(dm, force)
-    d = dm.d
+    if not 0.0 <= gap_tol < np.inf:
+        raise InvalidInputError(f"gap tolerance must be finite and >= 0, got {gap_tol}")
     n = dm.n
     w_vec = _score_vector(w, n)
-    max_iters = ITER_CAP_SCALE * n * alpha
+    _require_certified(dm, force)
+    k = m.full_rank
+    if k == 0:
+        return SliceSolution(alpha=0, point=FractionalPoint.of(np.zeros(n), value=0.0), value=0.0,
+                             gap=0.0, upper_bound=0.0, iterations=0, converged=True,
+                             value_trace=(0.0,), max_active=0)
+    d = dm.d
+    max_iters = ITER_CAP_SCALE * n * k
 
     # Warm start: greedy basis under the linear part of the objective, with
     # D written as d(i,j) = c[i] + c[j] - 2 Q[i,j] around element 0 (c = D[0]).
-    x = greedy_basis_lmo(m, alpha, 2.0 * alpha * d[0] + w_vec)
-    active = _ActiveSet(d, w_vec, alpha)
+    x = greedy_basis_lmo(m, 2.0 * k * d[0] + w_vec)
+    active = _ActiveSet(d, w_vec, k)
     row = active.find_or_add(np.flatnonzero(x))
     active.lam[row] = 1.0
     dx = active.dv[row].copy()
@@ -293,7 +298,7 @@ def solve_slice(
 
     for iterations in range(max_iters + 1):
         grad = 2.0 * dx + w_vec
-        v = greedy_basis_lmo(m, alpha, _snap(grad))
+        v = greedy_basis_lmo(m, _snap(grad))
         gap = float(grad @ v) - float(grad @ x)
         if gap <= gap_tol * value:
             converged = True
@@ -323,10 +328,10 @@ def solve_slice(
     dx = d @ x
     value = float(x @ dx + w_vec @ x)
     grad = 2.0 * dx + w_vec
-    v = greedy_basis_lmo(m, alpha, grad)
+    v = greedy_basis_lmo(m, grad)
     gap = max(float(grad @ (v - x)), 0.0)
     return SliceSolution(
-        alpha=alpha,
+        alpha=k,
         point=FractionalPoint.of(x, value=value),
         value=value,
         gap=gap,
@@ -346,28 +351,9 @@ def sweep_slices(
     gap_tol: float = GAP_TOL_DEFAULT,
     force: bool = False,
 ) -> RelaxationResult:
-    """Solve only the base-polytope slice, alpha = rank(ground set).
+    """`solve_slice` as `best`, and its value + gap as `opt_upper_bound`.
 
-    No smaller slice needs solving: the slice maximum does not decrease in
-    alpha (see the module docstring), so this slice gives `best`, and its
-    value + gap is `opt_upper_bound`, which dominates the integer optimum.
-    Scores must be finite and nonnegative, and D certified as in
-    `solve_slice`.
+    The bound dominates the integer optimum (see the module docstring).
     """
-    w_vec = _score_vector(w, dm.n)
-    _require_certified(dm, force)
-    if m.full_rank == 0:
-        zero = SliceSolution(
-            alpha=0,
-            point=FractionalPoint.of(np.zeros(m.n), value=0.0),
-            value=0.0,
-            gap=0.0,
-            upper_bound=0.0,
-            iterations=0,
-            converged=True,
-            value_trace=(0.0,),
-            max_active=0,
-        )
-        return RelaxationResult(best=zero, opt_upper_bound=0.0)
-    best = solve_slice(dm, m, m.full_rank, w_vec, gap_tol=gap_tol, force=force)
+    best = solve_slice(dm, m, w, gap_tol=gap_tol, force=force)
     return RelaxationResult(best=best, opt_upper_bound=best.upper_bound)

@@ -22,6 +22,14 @@ from divmax.rounding import TIGHT_TOL
 # Weights at or below this leave the active set of `reference_solve_slice`.
 _WEIGHT_FLOOR = 1e-14
 
+# Rank-0 matroids on four elements: a block of capacity 0, a graph of
+# self-loops and an all-zero rank table.
+RANK_ZERO = {
+    "partition": divmax.PartitionMatroid([[0, 1, 2, 3]], [0]),
+    "graphic": divmax.GraphicMatroid(2, [(0, 0), (1, 1), (0, 0), (1, 1)]),
+    "explicit_rank": divmax.ExplicitRankMatroid(np.zeros(16, dtype=int)),
+}
+
 
 def random_certified(seed: int, n: int, kind: str = "l2", dim: int = 3):
     """Random negative-type DistanceMatrix; gaussian points or random sets."""
@@ -160,7 +168,7 @@ def reference_local_search(dm, m, w=None):
     """
     n, k, d = m.n, m.full_rank, dm.d
     w_vec = np.zeros(n) if w is None else np.asarray(w, dtype=float)
-    basis = set(int(e) for e in np.nonzero(divmax.greedy_basis_lmo(m, k, np.zeros(n)))[0])
+    basis = set(int(e) for e in np.nonzero(divmax.greedy_basis_lmo(m, np.zeros(n)))[0])
 
     def value_of(s):
         idx = sorted(s)
@@ -435,8 +443,8 @@ def reference_round(dm, m, x_star, w=None, tol: float = TIGHT_TOL):
     return basis, float(x @ dm.d @ x) + float(w_vec @ x), steps
 
 
-def reference_solve_slice(dm, m, alpha, w=None, *, gap_tol=1e-6, max_iters=None):
-    """Away-step Frank-Wolfe on the slice, an independent oracle for `divmax.solve_slice`.
+def reference_solve_slice(dm, m, w=None, *, gap_tol=1e-6, max_iters=None):
+    """Away-step Frank-Wolfe on the base polytope, an independent oracle for `divmax.solve_slice`.
 
     The loop `divmax.solve_slice` ran before it became fully corrective,
     in its dense form: each iteration forms D @ x, the curvature and the
@@ -449,10 +457,11 @@ def reference_solve_slice(dm, m, alpha, w=None, *, gap_tol=1e-6, max_iters=None)
     d = dm.d
     n = dm.n
     w_vec = np.zeros(n) if w is None else np.asarray(w, dtype=float)
+    k = m.full_rank
     if max_iters is None:
-        max_iters = ITER_CAP_SCALE * n * alpha
+        max_iters = ITER_CAP_SCALE * n * k
 
-    x = divmax.greedy_basis_lmo(m, alpha, 2.0 * alpha * d[0] + w_vec)
+    x = divmax.greedy_basis_lmo(m, 2.0 * k * d[0] + w_vec)
     weights = {x.astype(np.int8).tobytes(): 1.0}
     vertices = {next(iter(weights)): x.copy()}
 
@@ -468,7 +477,7 @@ def reference_solve_slice(dm, m, alpha, w=None, *, gap_tol=1e-6, max_iters=None)
     iterations = 0
     for iterations in range(max_iters + 1):
         grad = 2.0 * (d @ x) + w_vec
-        v = divmax.greedy_basis_lmo(m, alpha, grad)
+        v = divmax.greedy_basis_lmo(m, grad)
         gap = float(grad @ (v - x))
         if gap <= gap_tol * value:
             converged = True

@@ -96,7 +96,7 @@ class TestBruteForce:
         for s in enumerate_independent(m):
             x = np.zeros(7)
             x[list(s)] = 1.0
-            best = max(best, divmax.dispersion(dm, x))
+            best = max(best, float(x @ dm.d @ x))
         assert res.value == pytest.approx(best)
         assert m.is_independent(res.elements)
 
@@ -132,7 +132,7 @@ class TestBruteForce:
         assert res.value == pytest.approx(value, rel=1e-12)
         x = np.zeros(len(d))
         x[list(res.elements)] = 1.0
-        assert res.value == pytest.approx(divmax.dispersion(dm, x) + (0.0 if w is None else w @ x))
+        assert res.value == pytest.approx(float(x @ dm.d @ x) + (0.0 if w is None else w @ x))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_exact_ties_go_to_first_basis(self, seed):

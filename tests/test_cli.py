@@ -1,7 +1,9 @@
 """End-to-end CLI behavior through main(argv): exit codes, reports, files."""
 
 import argparse
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +60,13 @@ def gap42(tmp_path):
 
 
 @pytest.fixture
+def cosine60(tmp_path):
+    path = tmp_path / "cosine60.json"
+    path.write_text(doc_to_json(divmax.gen_random_points(60, 5, "cosine", 1, k=6)))
+    return str(path)
+
+
+@pytest.fixture
 def bad_triangle(tmp_path):
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(NOT_NEGATIVE_TYPE))
@@ -98,6 +107,39 @@ def test_parser_is_built_once(capsys, gap42, monkeypatch):
     first = solve_report(capsys, gap42, "--trace")
     assert first == solve_report(capsys, gap42, "--trace")
     assert built.count("divmax") == 1
+
+
+def _argv_pairs() -> set:
+    """(command, option) pairs that one call in the tests passes together.
+
+    A call's string arguments, inline or in a list, count; `solve_report`
+    runs the solve command.
+    """
+    pairs = set()
+    for path in Path(__file__).parent.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            args = [e for a in node.args for e in (a.elts if isinstance(a, ast.List) else [a])]
+            words = {a.value for a in args if isinstance(a, ast.Constant) and isinstance(a.value, str)}
+            if getattr(node.func, "id", None) == "solve_report":
+                words.add("solve")
+            pairs.update((command, option) for command in words for option in words)
+    return pairs
+
+
+def test_every_option_is_tested():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = {
+        (command, option)
+        for command, sub in commands.items()
+        for action in sub._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+    assert len(options) > 20
+    assert sorted(options - _argv_pairs()) == []
 
 
 class TestCertify:
@@ -176,6 +218,17 @@ class TestSolve:
         assert timings["baselines_s"] == pytest.approx(
             timings["local_search_s"] + timings["exact_s"], rel=1e-11
         )
+
+    def test_gap_flag_sets_the_stopping_rule(self, capsys, cosine60):
+        best = solve_report(capsys, cosine60, "--gap", "1e-2")["best_slice"]
+        assert 0.0 <= best["gap"] <= 1e-2 * best["value"]
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("gap", ["nan", "-1", "inf"])
+    def test_gap_must_be_finite_and_nonnegative(self, capsys, cosine60, command, gap):
+        code, out, err = run(capsys, command, cosine60, "--gap", gap)
+        assert code == 2 and out == ""
+        assert "gap tolerance must be finite and >= 0" in err
 
     def test_exact_timing_zero_beyond_brute_force_size(self, capsys, tmp_path):
         doc = divmax.gen_random_points(divmax.BRUTE_FORCE_MAX_N + 1, 2, "l2", 0, k=2)
@@ -404,6 +457,18 @@ class TestBoundChecks:
         checks = _bound_checks(dm, None, 20, x_star, value, target * (1.0 - 1e-6))
         assert checks["guarantee_satisfied"] is False
 
+    @pytest.mark.parametrize("k, vacuous", [(5, True), (8, True), (9, False), (20, False)])
+    def test_nonpositive_factor_is_vacuous(self, k, vacuous):
+        # 1 - (4 + 2 ln k)/k is <= 0 up to k = 8: the target is then <= 0 and
+        # met by any basis, and `guarantee_satisfied` keeps its meaning.
+        dm = divmax.DistanceMatrix(np.ones((40, 40)) - np.eye(40))
+        x_star = np.full(40, k / 40)
+        value = float(x_star @ dm.d @ x_star)
+        checks = _bound_checks(dm, None, k, x_star, value, 0.0)
+        assert checks["guarantee_vacuous"] is vacuous
+        assert (checks["guarantee_factor"] <= 0.0) is vacuous
+        assert checks["guarantee_satisfied"] is vacuous
+
 
 class TestExact:
     def test_line_instance(self, capsys, tmp_path):
@@ -414,6 +479,12 @@ class TestExact:
         report = json.loads(out)
         assert report["elements"] == [1, 4]
         assert report["value"] == pytest.approx(6.0)
+
+    def test_out_file(self, capsys, gap42, tmp_path):
+        dest = tmp_path / "exact.json"
+        code, out, _ = run(capsys, "exact", gap42, "--out", str(dest))
+        assert code == 0 and out == ""
+        assert json.loads(dest.read_text())["value"] == pytest.approx(2.0)
 
     def test_size_guard(self, capsys, tmp_path):
         doc = divmax.gen_random_points(divmax.BRUTE_FORCE_MAX_N + 1, 2, "l2", 0, k=2)
@@ -432,7 +503,31 @@ class TestCompare:
         assert "relaxation bound" in out
         assert "exact optimum" in out
         assert "rounded / fractional  0.66" in out
-        assert "satisfied: yes" in out
+        # At k = 2 the factor is negative, so nothing is guaranteed.
+        assert "vacuous" in out and "satisfied" not in out
+
+    @pytest.mark.parametrize("k, verdict", [(5, "guarantee factor -0.443775  vacuous"),
+                                            (20, "satisfied: yes")])
+    def test_guarantee_verdict(self, capsys, tmp_path, k, verdict):
+        path = tmp_path / "uniform.json"
+        path.write_text(doc_to_json(divmax.gen_random_points(max(12, 2 * k), 3, "l2", 1, k=k)))
+        code, out, _ = run(capsys, "compare", str(path))
+        assert code == 0
+        assert verdict in out
+        report = solve_report(capsys, str(path))
+        assert report["bound_checks"]["guarantee_vacuous"] is (k == 5)
+
+    def test_out_file(self, capsys, gap42, tmp_path):
+        dest = tmp_path / "table.txt"
+        code, out, _ = run(capsys, "compare", gap42, "--out", str(dest))
+        assert code == 0 and out == ""
+        assert dest.read_text() == run(capsys, "compare", gap42)[1]
+
+    def test_gap_flag(self, capsys, cosine60):
+        fractional = solve_report(capsys, cosine60, "--gap", "1e-2")["best_slice"]["value"]
+        code, out, _ = run(capsys, "compare", cosine60, "--gap", "1e-2")
+        assert code == 0
+        assert f"fractional value  {fractional:.6g}" in out
 
     def test_uncertified(self, capsys, bad_triangle):
         code, out, err = run(capsys, "compare", bad_triangle)
@@ -472,6 +567,20 @@ class TestGen:
         assert doc["matroid"]["kind"] == "partition"
         assert len(doc["matroid"]["blocks"]) == 3
         assert len(doc["scores"]) == 8
+
+    def test_lp_exponent(self, capsys):
+        _, out, _ = run(capsys, "gen", "random-points", "--n", "5", "--kind", "lp", "--p", "1.3")
+        assert json.loads(out)["distance"]["p"] == 1.3
+
+    def test_uniform_point_distribution(self, capsys):
+        _, out, _ = run(capsys, "gen", "random-points", "--n", "50", "--dim", "3", "--point-dist", "uniform")
+        points = np.array(json.loads(out)["distance"]["points"])
+        assert points.shape == (50, 3)
+        assert ((0.0 <= points) & (points < 1.0)).all()
+
+    def test_dks_edge_probability(self, capsys):
+        _, out, _ = run(capsys, "gen", "dks", "--n", "5", "--k", "2", "--edge-prob", "0")
+        assert json.loads(out)["distance"]["matrix"] == (np.ones((5, 5)) - np.eye(5)).tolist()
 
     def test_dks_explicit_edges(self, capsys):
         code, out, _ = run(capsys, "gen", "dks", "--n", "4", "--k", "2", "--edges", "1-2,2-3")

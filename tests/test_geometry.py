@@ -293,8 +293,9 @@ class TestMetric:
         past[0, 1] = past[1, 0] = np.nextafter(edge[0, 1], np.inf)
         for d in (metric, raw, metric**2, edge, past):
             dm = divmax.DistanceMatrix(d)
-            for tol in (0.0, METRIC_TOL):
-                assert divmax.is_metric(dm, tol) == reference_is_metric(dm.d, tol)
+            assert divmax.is_metric(dm) == reference_is_metric(dm.d, METRIC_TOL)
+        assert divmax.is_metric(divmax.DistanceMatrix(edge))
+        assert not divmax.is_metric(divmax.DistanceMatrix(past))
 
 
 class TestTransforms:
@@ -591,30 +592,38 @@ class TestCertification:
 
 
 class TestDispersion:
+    """The dispersion a solver reports for a basis: x @ D @ x over ordered
+    pairs, plus w @ x with scores.  `round` of an integral point of base
+    mass returns that point's basis and value."""
+
     def test_pair_indicator(self):
         dm = divmax.build_distance([[0.0], [1.0], [2.0]], "l1")
-        x = np.array([1.0, 0.0, 1.0])
-        assert divmax.dispersion(dm, x) == pytest.approx(4.0)  # 2 * d(0, 2)
+        rounded = divmax.round(dm, divmax.UniformMatroid(3, 2), [1.0, 0.0, 1.0])
+        assert rounded.basis == (0, 2)
+        assert rounded.value == pytest.approx(4.0)  # 2 * d(0, 2)
 
     def test_singleton_zero(self):
         dm = random_certified(0, 5)
+        m = divmax.UniformMatroid(5, 1)
         for i in range(5):
             x = np.zeros(5)
             x[i] = 1.0
-            assert divmax.dispersion(dm, x) == 0.0
+            assert divmax.round(dm, m, x).value == 0.0
+        assert divmax.brute_force_opt(dm, m).value == 0.0
 
     def test_linear_scores_added(self):
         dm = divmax.build_distance([[0.0], [1.0], [2.0]], "l1")
-        x = np.array([1.0, 0.0, 1.0])
         w = np.array([0.5, 9.0, 0.25])
-        assert divmax.dispersion(dm, x, w) == pytest.approx(4.75)
+        rounded = divmax.round(dm, divmax.UniformMatroid(3, 2), [1.0, 0.0, 1.0], w)
+        assert rounded.value == pytest.approx(4.75)
 
     def test_shape_checks(self):
         dm = random_certified(0, 5)
+        m = divmax.UniformMatroid(5, 5)
         with pytest.raises(InvalidInputError):
-            divmax.dispersion(dm, np.ones(4))
+            divmax.round(dm, m, np.ones(4))
         with pytest.raises(InvalidInputError):
-            divmax.dispersion(dm, np.ones(5), w=np.ones(3))
+            divmax.round(dm, m, np.ones(5), w=np.ones(3))
 
 
 class TestUnionInequality:

@@ -79,7 +79,7 @@ class TestDksReduction:
         assert res.value == pytest.approx(8.0)
         with_isolated = np.zeros(4)
         with_isolated[[0, 1, 3]] = 1.0
-        assert divmax.dispersion(dm, with_isolated) == pytest.approx(20.0 / 3.0)
+        assert float(with_isolated @ dm.d @ with_isolated) == pytest.approx(20.0 / 3.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_dispersion_counts_edges(self, seed):
@@ -97,7 +97,7 @@ class TestDksReduction:
             x = np.zeros(n)
             x[subset] = 1.0
             expect = k * (k - 1) + 2 * inside / (n - 1)
-            assert divmax.dispersion(dm, x) == pytest.approx(expect)
+            assert float(x @ dm.d @ x) == pytest.approx(expect)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_certifies(self, seed):
@@ -180,9 +180,11 @@ class TestRandomPoints:
         assert all(0.0 <= s < 1.0 for s in doc.scores)
 
     def test_transforms_passed_through(self):
-        doc = divmax.gen_random_points(5, 2, "l2", 4, transforms=[{"name": "power", "alpha": 0.5}])
+        # Transforms are a field of the document's distance, not a generator option.
+        doc = divmax.gen_random_points(5, 2, "l2", 4)
+        doc.distance["transforms"] = [{"name": "power", "alpha": 0.5}]
         base = divmax.gen_random_points(5, 2, "l2", 4)
-        dm, _, _ = divmax.materialize(doc)
+        dm, _, _ = divmax.materialize(divmax.doc_from_json(divmax.doc_to_json(doc)))
         dm0, _, _ = divmax.materialize(base)
         assert np.allclose(dm.d, np.sqrt(dm0.d))
 
@@ -227,5 +229,5 @@ class TestRandomPoints:
         for s in enumerate_independent(m):
             x = np.zeros(7)
             x[list(s)] = 1.0
-            best = max(best, divmax.dispersion(dm, x))
+            best = max(best, float(x @ dm.d @ x))
         assert relax.opt_upper_bound >= best - 1e-7

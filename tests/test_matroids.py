@@ -10,6 +10,7 @@ from divmax.errors import InvalidInputError
 from divmax.matroids import W_MAX, Matroid, _combinations, validate_rank_table
 
 from conftest import (
+    RANK_ZERO,
     RankOnly,
     enumerate_independent,
     in_polytope,
@@ -148,12 +149,12 @@ class TestRankAxioms:
 class TestGreedyLMO:
     def test_uniform_top_weights(self):
         m = divmax.UniformMatroid(4, 2)
-        x = divmax.greedy_basis_lmo(m, 2, np.array([3.0, 1.0, 2.0, 0.0]))
+        x = divmax.greedy_basis_lmo(m, np.array([3.0, 1.0, 2.0, 0.0]))
         assert np.array_equal(x, [1, 0, 1, 0])
 
     def test_partition_respects_caps(self):
         m = divmax.PartitionMatroid([[0, 1], [2, 3]], [1, 1])
-        x = divmax.greedy_basis_lmo(m, 2, np.array([5.0, 4.0, 3.0, -1.0]))
+        x = divmax.greedy_basis_lmo(m, np.array([5.0, 4.0, 3.0, -1.0]))
         assert np.array_equal(x, [1, 0, 1, 0])
 
     def test_full_rank_zero_weights_is_basis(self):
@@ -161,25 +162,26 @@ class TestGreedyLMO:
             m = random_matroid(seed, 7)
             if m.full_rank == 0:
                 continue
-            x = divmax.greedy_basis_lmo(m, m.full_rank, np.zeros(7))
+            x = divmax.greedy_basis_lmo(m, np.zeros(7))
             chosen = [e for e in range(7) if x[e] == 1.0]
             assert len(chosen) == m.full_rank
             assert m.is_independent(chosen)
 
     def test_tie_breaks_low_index(self):
         m = divmax.UniformMatroid(4, 2)
-        x = divmax.greedy_basis_lmo(m, 2, np.zeros(4))
+        x = divmax.greedy_basis_lmo(m, np.zeros(4))
         assert np.array_equal(x, [1, 1, 0, 0])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_maximizes_over_truncation_vertices(self, seed):
+        # The bases of the truncation to alpha are the independent sets of size alpha.
         rng = np.random.default_rng(seed)
         m = random_matroid(seed + 100, 6)
         if m.full_rank == 0:
             return
         alpha = int(rng.integers(1, m.full_rank + 1))
         w = rng.standard_normal(6)
-        x = divmax.greedy_basis_lmo(m, alpha, w)
+        x = divmax.greedy_basis_lmo(divmax.ExplicitRankMatroid.from_matroid(m, truncate_to=alpha), w)
         got = float(w @ x)
         best = max(
             sum(w[e] for e in s)
@@ -191,8 +193,9 @@ class TestGreedyLMO:
     @pytest.mark.parametrize("seed", range(12))
     def test_prefix_order_matches_full_order(self, seed):
         # Weights from five values tie often, also at the cut of the sorted
-        # prefix.  Every alpha of the four kinds against the greedy run along
-        # the full order: weight descending, lower index first.
+        # prefix.  The four kinds, and each one's truncations to every alpha
+        # below its rank, against the greedy run along the full order: weight
+        # descending, lower index first.
         rng = np.random.default_rng(seed)
         g = random_multigraph(seed)
         kinds = (
@@ -204,37 +207,40 @@ class TestGreedyLMO:
         for m in kinds:
             w = rng.integers(-2, 3, m.n).astype(float)
             full = np.lexsort((np.arange(m.n), -w))
+            ranks = divmax.ExplicitRankMatroid.from_matroid(m).ranks
             for alpha in range(1, m.full_rank + 1):
                 expected = np.zeros(m.n)
                 expected[m._greedy(full, alpha)] = 1.0
-                np.testing.assert_array_equal(divmax.greedy_basis_lmo(m, alpha, w), expected)
+                truncated = m if alpha == m.full_rank else divmax.ExplicitRankMatroid(np.minimum(ranks, alpha))
+                np.testing.assert_array_equal(divmax.greedy_basis_lmo(truncated, w), expected)
 
     def test_prefix_grows_until_greedy_fills(self, monkeypatch):
         # The heaviest eight elements share a block of capacity 1.  The first
-        # prefix (c = alpha = 2) takes the four tied at the cut and falls
+        # prefix (c = rank = 2) takes the four tied at the cut and falls
         # short, so does the next (c = 8), and the third is the whole order.
         m = divmax.PartitionMatroid([range(8), range(8, 12)], [1, 1])
         w = np.array([3.0, 3, 3, 3, 2, 2, 2, 2, 1, 1, 0, 0])
         lengths = []
         greedy = m._greedy
-        monkeypatch.setattr(m, "_greedy", lambda order, alpha: lengths.append(len(order))
-                            or greedy(order, alpha))
-        assert np.flatnonzero(divmax.greedy_basis_lmo(m, 2, w)).tolist() == [0, 8]
+        monkeypatch.setattr(m, "_greedy", lambda order, count: lengths.append(len(order))
+                            or greedy(order, count))
+        assert np.flatnonzero(divmax.greedy_basis_lmo(m, w)).tolist() == [0, 8]
         assert lengths == [4, 8, 12]
         # A uniform matroid fills from the first prefix.
         u = divmax.UniformMatroid(2000, 2)
         lengths.clear()
-        monkeypatch.setattr(u, "_greedy", lambda order, alpha: lengths.append(len(order))
-                            or divmax.UniformMatroid._greedy(u, order, alpha))
+        monkeypatch.setattr(u, "_greedy", lambda order, count: lengths.append(len(order))
+                            or divmax.UniformMatroid._greedy(u, order, count))
         w = np.random.default_rng(0).standard_normal(2000)
-        assert np.flatnonzero(divmax.greedy_basis_lmo(u, 2, w)).tolist() == sorted(np.argsort(-w)[:2])
+        assert np.flatnonzero(divmax.greedy_basis_lmo(u, w)).tolist() == sorted(np.argsort(-w)[:2])
         assert lengths == [2]
 
-    def test_alpha_out_of_range(self):
-        m = divmax.UniformMatroid(4, 2)
-        for alpha in (0, 3):
-            with pytest.raises(InvalidInputError):
-                divmax.greedy_basis_lmo(m, alpha, np.zeros(4))
+    @pytest.mark.parametrize("kind", sorted(RANK_ZERO))
+    def test_rank_zero_gives_empty_basis(self, kind):
+        m = RANK_ZERO[kind]
+        assert m.full_rank == 0
+        for w in (np.zeros(m.n), np.arange(m.n, 0.0, -1.0)):
+            np.testing.assert_array_equal(divmax.greedy_basis_lmo(m, w), np.zeros(m.n))
 
 
 class TestSlackMinimize:
@@ -375,7 +381,7 @@ class TestUniformIsOneBlock:
 
         def results(m):
             slack = divmax.slack_minimize(m, x, i, j, window, prefix)
-            greedy = divmax.greedy_basis_lmo(m, k, x).tolist() if k else None
+            greedy = divmax.greedy_basis_lmo(m, x).tolist()
             exact = divmax.brute_force_opt(dm, m, w)
             local = divmax.local_search_half(dm, m, w=w)
             rounded = divmax.round(dm, m, x_star, w=w)

@@ -84,7 +84,7 @@ def test_uniform_greedy_picks_top_weights(n, data):
     w = np.asarray(data.draw(
         st.lists(st.floats(-5, 5, allow_nan=False), min_size=n, max_size=n)
     ))
-    vertex = divmax.greedy_basis_lmo(UniformMatroid(n, n), k, w)
+    vertex = divmax.greedy_basis_lmo(UniformMatroid(n, k), w)
     chosen = set(np.nonzero(vertex)[0])
     assert len(chosen) == k
     ranked = sorted(range(n), key=lambda e: (-w[e], e))
@@ -108,9 +108,13 @@ def test_partition_rank_table_satisfies_axioms(num_blocks, data):
 @given(st.integers(2, 10), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_dispersion_matches_quadratic_form(n, seed):
+    # The value `round` reports for a basis is x @ D @ x over ordered pairs,
+    # plus w @ x with scores.
     rng = np.random.default_rng(seed)
     dm = divmax.build_distance(rng.standard_normal((n, 2)), "l2")
-    x = rng.random(n)
+    m = UniformMatroid(n, int(rng.integers(1, n + 1)))
+    x = np.zeros(n)
+    x[rng.choice(n, m.full_rank, replace=False)] = 1.0
     w = rng.random(n)
-    assert divmax.dispersion(dm, x) == float(x @ dm.d @ x)
-    assert divmax.dispersion(dm, x, w) == float(x @ dm.d @ x + w @ x)
+    assert divmax.round(dm, m, x).value == float(x @ dm.d @ x)
+    assert divmax.round(dm, m, x, w).value == float(x @ dm.d @ x) + float(w @ x)

@@ -1,4 +1,4 @@
-"""Slice relaxation: conditional-gradient solver and the base-polytope slice."""
+"""Relaxation on the base polytope: the conditional-gradient solver and its bound."""
 
 import itertools
 
@@ -10,6 +10,7 @@ from divmax import relaxation
 from divmax.errors import CertificationError, InvalidInputError
 
 from conftest import (
+    RANK_ZERO,
     counting_view,
     enumerate_independent,
     in_polytope,
@@ -37,7 +38,7 @@ class TestSolveSlice:
     def test_two_point_slice_is_single_point(self):
         dm = divmax.build_distance([[0.0], [3.0]], "l1")
         m = divmax.UniformMatroid(2, 2)
-        sol = divmax.solve_slice(dm, m, 2)
+        sol = divmax.solve_slice(dm, m)
         assert np.allclose(sol.point.x, [1.0, 1.0])
         assert sol.value == pytest.approx(6.0)
         assert sol.gap == pytest.approx(0.0, abs=1e-12)
@@ -45,16 +46,31 @@ class TestSolveSlice:
 
     def test_allones_alpha2_uniform_maximizer(self, allones_dm4):
         m = divmax.UniformMatroid(4, 2)
-        sol = divmax.solve_slice(allones_dm4, m, 2, gap_tol=1e-10)
+        sol = divmax.solve_slice(allones_dm4, m, gap_tol=1e-10)
         assert sol.value == pytest.approx(3.0, abs=1e-8)
         assert np.allclose(sol.point.x, 0.5, atol=1e-4)
         assert sol.upper_bound >= 3.0 - 1e-12
 
     def test_allones_alpha1_value(self, allones_dm4):
-        m = divmax.UniformMatroid(4, 2)
-        sol = divmax.solve_slice(allones_dm4, m, 1, gap_tol=1e-10)
+        m = divmax.UniformMatroid(4, 1)
+        sol = divmax.solve_slice(allones_dm4, m, gap_tol=1e-10)
         # max of 1 - |x|^2 at x = (1/4, ..., 1/4).
         assert sol.value == pytest.approx(0.75, abs=1e-8)
+
+    def test_alpha_validation(self):
+        # The slice level is the matroid's rank; no alpha is accepted, and a
+        # positional alpha lands in the score slot, where a scalar is refused
+        # rather than broadcast.
+        dm = random_certified(0, 4)
+        m = divmax.UniformMatroid(4, 2)
+        sol = divmax.solve_slice(dm, m)
+        assert sol.alpha == m.full_rank
+        assert sol.point.x.sum() == pytest.approx(m.full_rank)
+        with pytest.raises(TypeError):
+            divmax.solve_slice(dm, m, alpha=2)
+        for alpha in (0, 3):
+            with pytest.raises(InvalidInputError):
+                divmax.solve_slice(dm, m, alpha)
 
     def test_trace_monotone_and_feasible(self):
         for seed in range(6):
@@ -62,8 +78,10 @@ class TestSolveSlice:
             m = random_matroid(seed, 8)
             if m.full_rank == 0:
                 continue
-            alpha = max(1, m.full_rank - 1) if m.full_rank > 1 else 1
-            sol = divmax.solve_slice(dm, m, alpha, gap_tol=1e-8)
+            # The slice one below the rank is the base polytope of the truncation.
+            alpha = max(1, m.full_rank - 1)
+            m = divmax.ExplicitRankMatroid.from_matroid(m, truncate_to=alpha)
+            sol = divmax.solve_slice(dm, m, gap_tol=1e-8)
             trace = np.array(sol.value_trace)
             assert (np.diff(trace) >= -1e-9).all()
             x = sol.point.x
@@ -73,10 +91,10 @@ class TestSolveSlice:
             assert sol.upper_bound == pytest.approx(sol.value + sol.gap)
 
     def test_gap_certificate_dominates_vertices(self):
-        # value + gap bounds the slice max, hence any same-size basis value.
+        # value + gap bounds the maximum over the base polytope, hence any basis value.
         dm = random_certified(3, 7, "jaccard")
         m = divmax.UniformMatroid(7, 3)
-        sol = divmax.solve_slice(dm, m, 3, gap_tol=1e-9)
+        sol = divmax.solve_slice(dm, m, gap_tol=1e-9)
         for s in enumerate_independent(m):
             if len(s) != 3:
                 continue
@@ -88,38 +106,47 @@ class TestSolveSlice:
         # With gap_tol = 0 the stopping rule cannot fire.  The loop still ends
         # once an iteration changes nothing (here, the iteration cap is 15,000),
         # and no earlier than rounding level.
-        sol = divmax.solve_slice(random_certified(40, 20, "l1"), divmax.UniformMatroid(20, 15), 15,
+        sol = divmax.solve_slice(random_certified(40, 20, "l1"), divmax.UniformMatroid(20, 15),
                                  gap_tol=0.0)
         assert sol.iterations < 200
         assert sol.gap <= 1e-12 * sol.value
         dm, m, w = divmax.materialize(divmax.gen_random_points(60, 5, "cosine", 1, k=6))
-        sol = divmax.solve_slice(dm, m, 6, w, gap_tol=1e-16)
+        sol = divmax.solve_slice(dm, m, w, gap_tol=1e-16)
         assert sol.gap <= 1e-12 * sol.value
-
-    def test_alpha_validation(self):
-        dm = random_certified(0, 4)
-        m = divmax.UniformMatroid(4, 2)
-        for alpha in (0, 3):
-            with pytest.raises(InvalidInputError):
-                divmax.solve_slice(dm, m, alpha)
 
     def test_dimension_mismatch(self):
         dm = random_certified(0, 4)
         with pytest.raises(InvalidInputError):
-            divmax.solve_slice(dm, divmax.UniformMatroid(5, 2), 1)
+            divmax.solve_slice(dm, divmax.UniformMatroid(5, 2))
 
     def test_certification_enforced(self, triangle_not_negtype):
         m = divmax.UniformMatroid(3, 2)
         with pytest.raises(CertificationError):
-            divmax.solve_slice(triangle_not_negtype, m, 2)
-        sol = divmax.solve_slice(triangle_not_negtype, m, 2, force=True)
+            divmax.solve_slice(triangle_not_negtype, m)
+        sol = divmax.solve_slice(triangle_not_negtype, m, force=True)
         assert sol.value >= 0.0
+
+    @pytest.mark.parametrize("kind", sorted(RANK_ZERO))
+    def test_rank_zero_gives_zero_point(self, kind):
+        sol = divmax.solve_slice(random_certified(0, 4), RANK_ZERO[kind], np.ones(4))
+        assert sol.alpha == 0 and sol.converged
+        assert sol.value == sol.gap == sol.upper_bound == 0.0
+        np.testing.assert_array_equal(sol.point.x, np.zeros(4))
+
+    @pytest.mark.parametrize("gap_tol", [np.nan, -1.0, -1e-300, np.inf])
+    def test_gap_tolerance_must_be_finite_and_nonnegative(self, gap_tol):
+        # None of these can meet the stopping rule as intended: NaN and a
+        # negative tolerance never stop it, inf stops at the warm start.
+        dm = random_certified(0, 4)
+        for m in (divmax.UniformMatroid(4, 2), RANK_ZERO["partition"]):
+            with pytest.raises(InvalidInputError, match="gap tolerance"):
+                divmax.solve_slice(dm, m, gap_tol=gap_tol)
 
     def test_scores_shift_the_optimum(self):
         dm = divmax.build_distance([[0.0], [1.0], [2.0]], "l1")
         m = divmax.UniformMatroid(3, 1)
         w = np.array([0.0, 5.0, 0.0])
-        sol = divmax.solve_slice(dm, m, 1, w, gap_tol=1e-10)
+        sol = divmax.solve_slice(dm, m, w, gap_tol=1e-10)
         # Dispersion of any single point is 0, so mass concentrates on the score.
         assert sol.value == pytest.approx(5.0, abs=1e-7)
         assert sol.point.x[1] == pytest.approx(1.0, abs=1e-7)
@@ -157,8 +184,8 @@ class TestSolveSliceCost:
     def test_matches_dense_reference(self, kind, matroid_kind, seed):
         dm, m, w = _oracle_instance(kind, matroid_kind, seed)
         k = m.full_rank
-        sol = divmax.solve_slice(dm, m, k, w, gap_tol=1e-9)
-        _, value, gap, _, _ = reference_solve_slice(dm, m, k, w, gap_tol=1e-9)
+        sol = divmax.solve_slice(dm, m, w, gap_tol=1e-9)
+        _, value, gap, _, _ = reference_solve_slice(dm, m, w, gap_tol=1e-9)
         assert sol.converged
         tol = 1e-12 * value
         assert sol.value <= value + gap + tol
@@ -175,8 +202,8 @@ class TestSolveSliceCost:
 
     def test_tie_split_agrees_within_gap(self):
         dm, m, w = _oracle_instance("jaccard", "uniform", 18)
-        sol = divmax.solve_slice(dm, m, 4, w, gap_tol=1e-9)
-        _, value, gap, _, converged = reference_solve_slice(dm, m, 4, w, gap_tol=1e-9)
+        sol = divmax.solve_slice(dm, m, w, gap_tol=1e-9)
+        _, value, gap, _, converged = reference_solve_slice(dm, m, w, gap_tol=1e-9)
         assert sol.converged and converged
         assert sol.value <= value + gap and value <= sol.upper_bound
 
@@ -186,7 +213,7 @@ class TestSolveSliceCost:
         # reverse insertion order changes every sum and tie order inside the
         # face solve, yet the loop ends at the same point and basis.
         dm, m, w = _oracle_instance("jaccard", "uniform", 18)
-        forward = divmax.solve_slice(dm, m, 4, w, gap_tol=1e-9)
+        forward = divmax.solve_slice(dm, m, w, gap_tol=1e-9)
         maximize_face = relaxation._ActiveSet.maximize_face
 
         def reversed_face(active):
@@ -195,14 +222,14 @@ class TestSolveSliceCost:
             active._keep(np.arange(active.size)[::-1])
 
         monkeypatch.setattr(relaxation._ActiveSet, "maximize_face", reversed_face)
-        backward = divmax.solve_slice(dm, m, 4, w, gap_tol=1e-9)
+        backward = divmax.solve_slice(dm, m, w, gap_tol=1e-9)
         assert backward.iterations == forward.iterations
         assert np.abs(backward.point.x - forward.point.x).max() <= 1e-9
         assert (divmax.round(dm, m, backward.point.x, w).basis
                 == divmax.round(dm, m, forward.point.x, w).basis)
 
     def test_dense_products_do_not_grow_with_iterations(self):
-        # An iteration costs O(n * alpha + size * n) plus the face solve; the
+        # An iteration costs O(n * k + size * n) plus the face solve; the
         # only n x n product is the one exact D @ x behind the value and gap.
         # The verdict is computed before D is swapped for the counting view,
         # so the solves only look it up.
@@ -213,7 +240,7 @@ class TestSolveSliceCost:
         counts = {}
         for gap_tol in (1e-2, 1e-6):
             type(counting).products = 0
-            sol = divmax.solve_slice(dm, m, 12, gap_tol=gap_tol)
+            sol = divmax.solve_slice(dm, m, gap_tol=gap_tol)
             counts[sol.iterations] = type(counting).products
         short_run, long_run = sorted(counts)
         assert 5 <= short_run and long_run >= 50
@@ -224,7 +251,7 @@ class TestSolveSliceCost:
         # The active vertices stay affinely independent, so there are at most
         # n of them, plus the one an iteration adds before its face solve.
         dm, m, _ = divmax.materialize(divmax.gen_random_points(n, dim, "cosine", seed, k=k))
-        sol = divmax.solve_slice(dm, m, k)
+        sol = divmax.solve_slice(dm, m)
         assert sol.converged
         assert 2 <= sol.max_active <= n + 1
 
@@ -234,7 +261,7 @@ class TestSolveSliceCost:
         # `reference_solve_slice` at the default tolerance, which is too slow
         # to run here.
         dm, m, _ = divmax.materialize(divmax.gen_random_points(300, 8, "cosine", 5, k=20))
-        sol = divmax.solve_slice(dm, m, 20)
+        sol = divmax.solve_slice(dm, m)
         assert sol.converged
         assert sol.iterations <= 300
         assert sol.upper_bound <= AWAY_STEP_BOUND_N300
@@ -270,7 +297,8 @@ class TestSweep:
 
     def test_best_is_value_argmax_of_slices(self):
         # D >= 0 and w >= 0 make the slice maximum nondecreasing in alpha, so
-        # the top slice's bound dominates the value of every lower slice.
+        # the bound at the rank dominates the value of every lower slice,
+        # solved as the base polytope of the matroid truncated to alpha.
         dm = random_certified(9, 8, "l2")
         matroids = (
             divmax.UniformMatroid(8, 4),
@@ -284,7 +312,9 @@ class TestSweep:
                 assert res.opt_upper_bound == res.best.upper_bound
                 tol = 1e-9 * (1.0 + res.opt_upper_bound)
                 for alpha in range(1, m.full_rank + 1):
-                    sol = divmax.solve_slice(dm, m, alpha, w)
+                    truncated = divmax.ExplicitRankMatroid.from_matroid(m, truncate_to=alpha)
+                    sol = divmax.solve_slice(dm, truncated, w)
+                    assert sol.alpha == alpha
                     assert sol.value <= res.opt_upper_bound + tol
 
     def test_rank_zero_matroid(self):

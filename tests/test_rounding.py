@@ -146,7 +146,7 @@ class TestBuildChain:
             return
         x = np.zeros(7)
         for lam in rng.dirichlet(np.ones(5)):
-            x += lam * divmax.greedy_basis_lmo(m, m.full_rank, rng.standard_normal(7))
+            x += lam * divmax.greedy_basis_lmo(m, rng.standard_normal(7))
         chain = build_chain(m, x)
         chain.validate(m, x)
 
@@ -223,7 +223,7 @@ class TestRoundStep:
             return
         x = np.zeros(7)
         for lam in rng.dirichlet(np.ones(4)):
-            x += lam * divmax.greedy_basis_lmo(m, m.full_rank, rng.standard_normal(7))
+            x += lam * divmax.greedy_basis_lmo(m, rng.standard_normal(7))
         chain = build_chain(m, x)
         while any(not r.integral for r in chain.rings(x)):
             i, j = select_pair(dm, x, chain.rings(x))
@@ -463,7 +463,7 @@ def _partition_base_point(seed: int):
         m = divmax.PartitionMatroid(blocks, [int(rng.integers(1, len(b))) for b in blocks])
     x = np.zeros(n)
     for _ in range(8):
-        x += divmax.greedy_basis_lmo(m, m.full_rank, rng.standard_normal(n))
+        x += divmax.greedy_basis_lmo(m, rng.standard_normal(n))
     return m, x / 8
 
 

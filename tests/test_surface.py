@@ -14,6 +14,7 @@ import divmax
 SRC = Path(divmax.__file__).resolve().parent
 REMOVED = (
     "RetryLimitError",
+    "dispersion",
     "draw_subset",
     "in_polytope",
     "lift_to_base",
@@ -31,15 +32,20 @@ def test_all_is_sorted_unique_and_resolves():
         assert hasattr(divmax, name), name
 
 # Options no pipeline caller needs: the negative-type verdict is computed
-# once per DistanceMatrix, the slice iteration cap is ITER_CAP_SCALE * n *
-# alpha, rounding snaps and steps at TIGHT_TOL, and the local search starts
-# from the greedy basis and runs to a local optimum.
+# once per DistanceMatrix, the relaxation and its oracle work at the
+# matroid's rank with an iteration cap of ITER_CAP_SCALE * n * rank,
+# rounding snaps and steps at TIGHT_TOL, the local search starts from the
+# greedy basis and runs to a local optimum, the triangle check uses
+# METRIC_TOL, and transforms are a field of the instance document.
 REMOVED_PARAMETERS = {
-    "solve_slice": ("certificate", "max_iters"),
+    "solve_slice": ("alpha", "certificate", "max_iters"),
     "sweep_slices": ("certificate", "max_iters"),
+    "greedy_basis_lmo": ("alpha",),
     "round": ("certificate", "tol"),
     "round_step": ("tol",),
     "local_search_half": ("seed_basis", "max_sweeps"),
+    "gen_random_points": ("transforms",),
+    "is_metric": ("tol",),
 }
 
 
