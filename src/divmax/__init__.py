@@ -30,6 +30,7 @@ from .geometry import (
     build_distance,
     certify_negative_type,
     check_union_inequality,
+    cite_or_certify,
     is_metric,
     schoenberg_form,
     transform_distance,
@@ -108,6 +109,7 @@ __all__ = [
     "canonical_dumps",
     "certify_negative_type",
     "check_union_inequality",
+    "cite_or_certify",
     "doc_from_json",
     "doc_to_json",
     "gen_dks_reduction",

@@ -21,9 +21,9 @@ from .errors import (
     InternalInvariantError,
     InvalidInputError,
 )
-from .geometry import NUM_TOL, certify_negative_type
+from .geometry import NUM_TOL, certify_negative_type, cite_or_certify
 from .io import SCHEMA_VERSION, canonical_dumps, doc_from_json, doc_to_json, materialize, parse_scores
-from .relaxation import GAP_TOL_DEFAULT, sweep_slices
+from .relaxation import GAP_TOL_DEFAULT, _check_gap_tol, sweep_slices
 from .rounding import guarantee_factor, round as round_to_basis
 
 def _load_doc(path: str):
@@ -70,6 +70,7 @@ def _certificate_dict(cert, forced: bool = False) -> dict:
         "verdict": cert.verdict,
         "is_negative_type": bool(cert.is_negative_type),
         "min_eigenvalue": None if cert.min_eigenvalue is None else float(cert.min_eigenvalue),
+        "method": cert.method,
     }
     if cert.witness is not None:
         out["witness"] = [float(v) for v in cert.witness]
@@ -142,15 +143,16 @@ def _solve_report(args) -> dict:
     `baselines.exact` is None and `exact_s` 0 when n exceeds the
     brute-force limit.
     """
+    _check_gap_tol(args.gap)
     doc = _load_doc(args.instance)
     if args.scores is not None:
         doc.scores = _parse_scores_flag(args.scores, doc.n)
     total0 = time.perf_counter()
     (dm, matroid, w), t_materialize = _timed(materialize, doc)
 
-    # The first certification of dm computes the verdict; the solver's own
-    # checks below reuse it.
-    cert, t_cert = _timed(certify_negative_type, dm)
+    # A catalogue distance is cited; any other is certified here once, and
+    # the solver's own checks below reuse the verdict.
+    cert, t_cert = _timed(cite_or_certify, dm)
     relax, t_relax = _timed(sweep_slices, dm, matroid, w=w, gap_tol=args.gap, force=args.force)
     best, k = relax.best, matroid.full_rank
     x_star = best.point.x

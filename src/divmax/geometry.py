@@ -20,12 +20,18 @@ identically in x.  D is of negative type exactly when Q is positive
 semidefinite, which `certify_negative_type` checks with one Cholesky
 factorization of Q shifted by its tolerance; when that fails, a negative
 eigenvector of Q converts directly into a violating vector b.
+
+Every catalogue kind of `build_distance` is of negative type by a theorem
+its docstring cites, and every bundled transform keeps the property.  A
+matrix built that way records its kind as `DistanceMatrix.provenance`, and
+the solve path (`cite_or_certify`) accepts it on that ground, without the
+O(n^3) factorization.  `certify_negative_type` itself always computes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -64,9 +70,15 @@ class DistanceMatrix:
     view that cannot be made writable again, so `certify_negative_type`
     computes its verdict once per object; a transformed matrix is a new
     object with its own verdict.
+
+    `provenance` is the catalogue kind the matrix was built from, set only
+    by `build_distance` and carried by `transform_distance`.  It is None for
+    a matrix constructed directly, an "explicit" one, and any transform of
+    those; the constructor takes no argument for it.
     """
 
     d: np.ndarray
+    provenance: str | None = field(default=None, init=False)
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float)
@@ -119,16 +131,20 @@ class SchoenbergForm:
 class NegTypeCertificate:
     """Outcome of negative-type certification.
 
+    `method` names the ground of the verdict: "catalogue" (the theorem of
+    the matrix's provenance, see `cite_or_certify`), "cholesky" (the
+    factorization accepted) or "eigh" (the eigendecomposition decided).
     `min_eigenvalue` is the smallest eigenvalue of Q restricted to the
     non-base coordinates (the base row and column of Q are identically
     zero and carry no information) whenever `eigh` ran: on every rejection
     and on the rare acceptance the Cholesky test could not make.  It is
-    None when the factorization accepted D.  On failure, `witness` is a
-    vector b with sum(b) == 0 and b @ D @ b == witness_value > 0.
+    None otherwise.  On failure, `witness` is a vector b with sum(b) == 0
+    and b @ D @ b == witness_value > 0.
     """
 
     is_negative_type: bool
     min_eigenvalue: float | None
+    method: str
     witness: np.ndarray | None = None
     witness_value: float | None = None
 
@@ -146,14 +162,16 @@ class UnionInequalityCheck:
     rhs: float
 
 
-def _finalize(m: np.ndarray) -> DistanceMatrix:
+def _finalize(m: np.ndarray, provenance: str | None) -> DistanceMatrix:
     # Diagonal and negativity cleanup of float fuzz, in place.  Every builder
     # forms entry (i, j) by the same operations as (j, i), so m is already
     # exactly symmetric; DistanceMatrix re-checks that.
     m = np.asarray(m, dtype=float)
     np.fill_diagonal(m, 0.0)
     np.clip(m, 0.0, None, out=m)
-    return DistanceMatrix(m)
+    dm = DistanceMatrix(m)
+    object.__setattr__(dm, "provenance", provenance)
+    return dm
 
 
 def _block_rows(n: int, width: int) -> int:
@@ -248,21 +266,46 @@ def _incidence(data, universe) -> np.ndarray:
 def build_distance(data, kind: str, *, p: float | None = None, universe=None) -> DistanceMatrix:
     """Build a DistanceMatrix from points, sets, or an explicit matrix.
 
-    kind:
-      "l1", "l2"          -- Minkowski distances of points (rows of `data`)
-      "lp"                -- Minkowski with exponent `p`, 1 <= p <= 2
+    kind, with the theorem that makes it of negative type:
+      "l1", "l2"          -- Minkowski distances of points (rows of `data`).
+                             l1 is an L1 metric, and L1 metrics are of
+                             negative type.  l2 is by Schoenberg: |a - b|^2
+                             is of negative type, and so is its square root
+      "lp"                -- Minkowski with exponent `p`, 1 <= p <= 2; lp
+                             embeds isometrically in L1 for these p
       "cosine"            -- angle arccos(<u,v>/|u||v|) in [0, pi]; rejects
-                             zero vectors
-      "jaccard"           -- 1 - |A&B|/|A|B|; d(empty, empty) = 0
-      "dice"              -- |A^B| / (|A| + |B|); 0 when both sets empty
-      "simple_matching"   -- |A^B| / |U|
+                             zero vectors.  The angle is pi times the
+                             chance that a random hyperplane cuts u from v,
+                             a mixture of cut metrics, so an L1 metric
+      "jaccard"           -- 1 - |A&B|/|A|B|; d(empty, empty) = 0.  The
+                             chance that a random min-hash tells A from B
+                             (the empty set hashing to a symbol of its
+                             own), so an L1 metric
+      "dice"              -- |A^B| / (|A| + |B|); 0 when both sets empty.
+                             1 - d is 2 <1_A, 1_B> / (|A| + |B|), a Schur
+                             product of positive semidefinite kernels
+                             (Gower-Legendre 1986), and 0 between an empty
+                             and a nonempty set, so it stays positive
+                             semidefinite, and d = 1 - (1 - d) is of
+                             negative type
+      "simple_matching"   -- |A^B| / |U|, a Hamming distance, so an L1 metric
       "russell_rao"       -- 1 - |A&B|/|U| off-diagonal; the diagonal is
-                             forced to zero (the raw formula has nonzero
-                             self-dissimilarity, and dropping it preserves
-                             the negative-type property)
-      "explicit"          -- `data` is the matrix itself
+                             forced to zero.  J - B B^T / |U|, with B the
+                             incidence rows, is of negative type, and
+                             zeroing its nonnegative diagonal keeps it so
+                             (Gower-Legendre 1986)
+      "explicit"          -- `data` is the matrix itself; no theorem applies
+
+    Each catalogue kind is recorded as the matrix's `provenance`, the
+    ground on which `cite_or_certify` accepts it.  The computed matrix is
+    within rounding of the exact one the theorem covers.
 
     Set-based kinds require `universe` (an int size or an iterable of items).
+    l2 scales the whole cloud by a power of two so that its largest
+    coordinate lies in [0.5, 1), and D back by its inverse; cosine scales
+    each point by its own power of two.  Both are exact in the normal
+    range, so D is that of the unscaled formulas there, and points near
+    the ends of the double range neither square to 0 nor overflow.
 
     Memory: the peak counts the n x n result and the read-only copy that
     DistanceMatrix keeps.  Traced with tracemalloc at n = 1000 (8-dim
@@ -280,11 +323,12 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
     if kind in NORM_KINDS:
         pts = _points_array(data)
         if kind == "cosine":
+            pts = np.ldexp(pts, -np.frexp(np.abs(pts).max(axis=1))[1][:, None])
             norms = np.linalg.norm(pts, axis=1)
             if (norms <= 0).any():
                 raise InvalidInputError("cosine distance is undefined for zero vectors")
             cos = (pts @ pts.T) / np.outer(norms, norms)
-            return _finalize(np.arccos(np.clip(cos, -1.0, 1.0)))
+            return _finalize(np.arccos(np.clip(cos, -1.0, 1.0)), kind)
         if kind == "l1":
             p = 1.0
         elif kind == "l2":
@@ -295,7 +339,11 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
             p = float(p)
             if not 1.0 <= p <= 2.0:
                 raise InvalidInputError(f"lp exponent must satisfy 1 <= p <= 2, got {p}")
-        return _finalize(_euclidean(pts) if p == 2.0 else _minkowski(pts, p))
+        if p != 2.0:
+            return _finalize(_minkowski(pts, p), kind)
+        exp = np.frexp(np.abs(pts).max())[1]
+        g = _euclidean(np.ldexp(pts, -exp))
+        return _finalize(np.ldexp(g, exp, out=g), kind)
 
     if kind in SET_KINDS:
         b = _incidence(data, universe)
@@ -318,7 +366,7 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
                 m = symdiff / u_size
             else:  # russell_rao
                 m = 1.0 - inter / u_size
-        return _finalize(m)
+        return _finalize(m, kind)
 
     raise InvalidInputError(f"unknown distance kind {kind!r}")
 
@@ -352,6 +400,11 @@ def transform_distance(
       "metric_power"  -- d**log2(n/(n-1)); requires d to be a metric, and
                          maps any metric to a negative-type (indeed metric)
                          distance
+
+    The first four are Bernstein functions vanishing at 0, and such a
+    function of a negative-type distance is of negative type (Schoenberg);
+    metric_power is the power with exponent log2(n/(n-1)) in (0, 1].  So
+    the result keeps the input's `provenance`.
     """
     d = dm.d
     if transform == "power":
@@ -372,7 +425,7 @@ def transform_distance(
         out = d ** math.log2(dm.n / (dm.n - 1))
     else:
         raise InvalidInputError(f"unknown transform {transform!r}")
-    return _finalize(out)
+    return _finalize(out, dm.provenance)
 
 
 def schoenberg_form(dm: DistanceMatrix, base_point: int = 0) -> SchoenbergForm:
@@ -454,22 +507,40 @@ def certify_negative_type(dm: DistanceMatrix) -> NegTypeCertificate:
     The verdict is computed on the first call for a `DistanceMatrix`, and
     later calls on the same object return the same certificate.
 
+    This test always computes, whatever the matrix's `provenance`; the
+    solve path calls `cite_or_certify` instead.
+
     Acceptance threshold: min eigenvalue of Q >= -tau with
     tau = PSD_TOL_SCALE * ||Q||_inf, so c * D gets the same verdict as D
     for every c > 0.  The verdict comes from one blocked Cholesky
     factorization of A = Q[1:, 1:] + tau * I, formed from D in a single
     (n-1) x (n-1) buffer and factored in place.  If the factor exists, Q
     has no eigenvalue below -tau up to a backward error of about
-    n * eps * ||Q||, and D is accepted with `min_eigenvalue` None.
+    n * eps * ||Q||, and D is accepted with `min_eigenvalue` None and
+    method "cholesky".
     Only when the factorization fails does `eigh` run on the Schoenberg
-    form: its smallest eigenvalue decides against the same threshold and,
-    on rejection, its eigenvector gives the witness b (zero-sum,
-    b @ D @ b > 0).  An all-zero D has tau == 0 and no factor; `eigh`
-    accepts it with min eigenvalue 0.
+    form (method "eigh"): its smallest eigenvalue decides against the same
+    threshold and, on rejection, its eigenvector gives the witness b
+    (zero-sum, b @ D @ b > 0).  An all-zero D has tau == 0 and no factor;
+    `eigh` accepts it with min eigenvalue 0.
     """
     if "_certificate" not in vars(dm):
         object.__setattr__(dm, "_certificate", _certify(dm))
     return dm._certificate
+
+
+_CITED = NegTypeCertificate(is_negative_type=True, min_eigenvalue=None, method="catalogue")
+
+
+def cite_or_certify(dm: DistanceMatrix) -> NegTypeCertificate:
+    """The solve path's verdict: cited for a catalogue matrix, else computed.
+
+    A matrix with a `provenance` is of negative type by the theorem its
+    kind's entry in `build_distance` cites, and it is accepted on that
+    ground, with method "catalogue" and no factorization.  Every other
+    matrix gets `certify_negative_type(dm)`.
+    """
+    return _CITED if dm.provenance is not None else certify_negative_type(dm)
 
 
 def _certify(dm: DistanceMatrix) -> NegTypeCertificate:
@@ -480,12 +551,12 @@ def _certify(dm: DistanceMatrix) -> NegTypeCertificate:
     tau = PSD_TOL_SCALE * _inf_norm(a)
     a.reshape(-1)[:: a.shape[0] + 1] += tau
     if _cholesky_in_place(a):
-        return NegTypeCertificate(is_negative_type=True, min_eigenvalue=None)
+        return NegTypeCertificate(is_negative_type=True, min_eigenvalue=None, method="cholesky")
     del a  # the Schoenberg form and eigh allocate their own n x n arrays
     evals, evecs = np.linalg.eigh(schoenberg_form(dm, 0).q[1:, 1:])
     min_eig = float(evals[0])
     if min_eig >= -tau:
-        return NegTypeCertificate(is_negative_type=True, min_eigenvalue=min_eig)
+        return NegTypeCertificate(is_negative_type=True, min_eigenvalue=min_eig, method="eigh")
     u = evecs[:, 0]
     b = np.empty(dm.n)
     b[1:] = u
@@ -499,7 +570,11 @@ def _certify(dm: DistanceMatrix) -> NegTypeCertificate:
         )
     b.setflags(write=False)
     return NegTypeCertificate(
-        is_negative_type=False, min_eigenvalue=min_eig, witness=b, witness_value=value
+        is_negative_type=False,
+        min_eigenvalue=min_eig,
+        method="eigh",
+        witness=b,
+        witness_value=value,
     )
 
 

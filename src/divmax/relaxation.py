@@ -24,12 +24,13 @@ negative scores the argument fails, so they are refused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CertificationError, InvalidInputError
-from .geometry import DistanceMatrix, certify_negative_type
+from .geometry import DistanceMatrix, cite_or_certify
 from .matroids import FractionalPoint, Matroid, greedy_basis_lmo
 
 GAP_TOL_DEFAULT = 1e-6
@@ -80,11 +81,16 @@ def _score_vector(w, n: int) -> np.ndarray:
     return w_vec
 
 
+def _check_gap_tol(gap_tol: float) -> None:
+    if not 0.0 <= gap_tol < np.inf:
+        raise InvalidInputError(f"gap tolerance must be finite and >= 0, got {gap_tol}")
+
+
 def _require_certified(dm: DistanceMatrix, force: bool) -> None:
-    """Refuse D unless it is of negative type or `force` is set."""
+    """Refuse D unless it is of negative type (`cite_or_certify`) or `force` is set."""
     if force:
         return
-    certificate = certify_negative_type(dm)
+    certificate = cite_or_certify(dm)
     if not certificate.is_negative_type:
         raise CertificationError(
             "distance is not of negative type (min eigenvalue "
@@ -99,10 +105,15 @@ def _snap(grad: np.ndarray) -> np.ndarray:
     gradients in exact arithmetic.  Rounding makes them tie in floating
     point too, so the greedy oracle's rule (lower index first) picks
     between them, not the last bit of the sums, and (c * D, c * w) takes
-    the path of (D, w).
+    the path of (D, w).  grad is scaled by 2**-e first, with
+    max|grad| = mant * 2**e: exact, and the factor 1 / (_TIE_GRID * mant)
+    cannot overflow however small the gradient is.
     """
     scale = float(np.abs(grad).max())
-    return np.round(grad * (1.0 / (_TIE_GRID * scale))) if scale > 0.0 else grad
+    if scale == 0.0:
+        return grad
+    mant, exp = math.frexp(scale)
+    return np.round(np.ldexp(grad, -exp) * (1.0 / (_TIE_GRID * mant)))
 
 
 def _sum_zero_basis(size: int) -> np.ndarray:
@@ -257,9 +268,9 @@ def solve_slice(
     when D and w are scaled together), after ITER_CAP_SCALE * n * k
     iterations, k = rank(M), or when an iteration neither raises the value
     nor keeps a new vertex, which happens only at rounding level.  gap_tol
-    must be finite and >= 0, scores finite and nonnegative, and D certified
-    of negative type (`certify_negative_type`, computed once per matrix)
-    unless `force` is set.  A matroid of rank 0 gives the zero point, with
+    must be finite and >= 0, scores finite and nonnegative, and D of
+    negative type (`cite_or_certify`: cited for a catalogue matrix, else
+    certified once per matrix) unless `force` is set.  A matroid of rank 0 gives the zero point, with
     value and gap 0.
 
     One iteration costs O(n * k) for the new vertex's D @ v, a sum of k
@@ -270,8 +281,7 @@ def solve_slice(
     """
     if dm.n != m.n:
         raise InvalidInputError(f"distance has n={dm.n} but matroid has n={m.n}")
-    if not 0.0 <= gap_tol < np.inf:
-        raise InvalidInputError(f"gap tolerance must be finite and >= 0, got {gap_tol}")
+    _check_gap_tol(gap_tol)
     n = dm.n
     w_vec = _score_vector(w, n)
     _require_certified(dm, force)

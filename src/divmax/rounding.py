@@ -386,8 +386,8 @@ def round(
     in exact arithmetic tie exactly and the pair rule's index order decides
     between them.  `validate_steps` re-checks all chain invariants after
     every step, and `keep_iterates` stores a copy of x per iteration in the
-    trace.  D must be certified of negative type (`certify_negative_type`,
-    computed once per matrix) unless `force` is set.
+    trace.  D must be of negative type (`cite_or_certify`: cited for a
+    catalogue matrix, else certified once per matrix) unless `force` is set.
     """
     if dm.n != m.n:
         raise InvalidInputError(f"distance has n={dm.n} but matroid has n={m.n}")

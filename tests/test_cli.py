@@ -176,6 +176,14 @@ class TestCertify:
         assert report["min_eigenvalue"] == pytest.approx(-0.5, rel=1e-12)
         assert np.allclose(np.array(report["witness"]) / report["witness"][1], [-2.0, 1.0, 1.0])
 
+    def test_catalogue_document_is_factored(self, capsys, tmp_path, factorizations):
+        # `divmax certify` stays numeric whatever the distance kind.
+        path = tmp_path / "l2.json"
+        path.write_text(doc_to_json(divmax.gen_random_points(40, 3, "l2", 0, k=3)))
+        code, out, _ = run(capsys, "certify", str(path))
+        assert code == 0 and json.loads(out)["method"] == "cholesky"
+        assert factorizations == [39]
+
     def test_out_file(self, capsys, gap42, tmp_path):
         dest = tmp_path / "cert.json"
         code, out, _ = run(capsys, "certify", gap42, "--out", str(dest))
@@ -225,7 +233,12 @@ class TestSolve:
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
     @pytest.mark.parametrize("gap", ["nan", "-1", "inf"])
-    def test_gap_must_be_finite_and_nonnegative(self, capsys, cosine60, command, gap):
+    def test_gap_must_be_finite_and_nonnegative(self, capsys, cosine60, command, gap, monkeypatch):
+        # Refused before the document is materialized.
+        def materialize(doc):
+            raise AssertionError("materialized")
+
+        monkeypatch.setattr(divmax.cli, "materialize", materialize)
         code, out, err = run(capsys, command, cosine60, "--gap", gap)
         assert code == 2 and out == ""
         assert "gap tolerance must be finite and >= 0" in err
@@ -285,7 +298,31 @@ class TestSolve:
         report = json.loads(out)
         assert report["certificate"]["forced"] is True
         assert report["certificate"]["is_negative_type"] is False
+        assert report["certificate"]["method"] == "eigh"
         assert len(report["rounding"]["basis"]) == 2
+
+    def test_catalogue_is_cited_explicit_is_factored(self, capsys, tmp_path, factorizations):
+        doc = divmax.gen_random_points(40, 3, "l2", 0, k=3)
+        catalogue = tmp_path / "l2.json"
+        catalogue.write_text(doc_to_json(doc))
+        cited = solve_report(capsys, str(catalogue))
+        assert cited["certificate"] == {
+            "verdict": "negative_type",
+            "is_negative_type": True,
+            "min_eigenvalue": None,
+            "method": "catalogue",
+        }
+        assert factorizations == []
+        dm, _, _ = divmax.materialize(doc)
+        doc.distance = {"kind": "explicit", "matrix": dm.d.tolist()}
+        explicit = tmp_path / "explicit.json"
+        explicit.write_text(doc_to_json(doc))
+        factored = solve_report(capsys, str(explicit))
+        assert factored["certificate"]["method"] == "cholesky"
+        assert factorizations == [39]
+        # The canonical matrix rounds at %.12g, so only the certificate and
+        # the instance kind may differ, and the basis must not.
+        assert factored["rounding"]["basis"] == cited["rounding"]["basis"]
 
     def test_scores_inline(self, capsys, gap42):
         code, out, _ = run(capsys, "solve", gap42, "--scores", "[5, 0, 0, 0]")

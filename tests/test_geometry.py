@@ -1,11 +1,13 @@
 """Distance catalogue, transforms, Schoenberg decomposition, certification."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import divmax
+from divmax import geometry
 from divmax.errors import InvalidInputError
 from divmax.geometry import (
     _BLOCK_BYTES,
@@ -220,6 +222,45 @@ class TestBuildDistanceAccuracy:
         ref = reference_build_distance(pts, "l2")
         assert np.array_equal(got == 0, ref == 0)
         assert (got == 0).sum() > pts.shape[0]
+
+    @staticmethod
+    def _unscaled(pts, kind):
+        """The l2 and cosine formulas applied to the points as given."""
+        if kind == "l2":
+            m = geometry._euclidean(np.ascontiguousarray(pts, dtype=float))
+        else:
+            norms = np.linalg.norm(pts, axis=1)
+            m = np.arccos(np.clip((pts @ pts.T) / np.outer(norms, norms), -1.0, 1.0))
+        np.fill_diagonal(m, 0.0)
+        return np.clip(m, 0.0, None)
+
+    @pytest.mark.parametrize("kind", ["l2", "cosine"])
+    @pytest.mark.parametrize("n", [9, 300])
+    def test_power_of_two_scaling_is_exact_in_the_normal_range(self, kind, n):
+        rng = np.random.default_rng(n)
+        for exponent in (-100, -8, 0, 3, 8, 100):
+            for pts in (
+                rng.standard_normal((n, 5)),
+                rng.random((n, 2)) + 1e6,
+                rng.standard_normal((n, 4)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(n, 1)),
+            ):
+                pts = pts * 10.0**exponent
+                got = divmax.build_distance(pts, kind).d
+                assert np.array_equal(got, self._unscaled(pts, kind)), exponent
+
+    @pytest.mark.parametrize("kind", ["l2", "cosine"])
+    def test_extreme_scales_scale_d(self, kind):
+        # The unscaled formulas give D = 0 or refuse zero vectors at 2^-900
+        # and overflow at 1e154.
+        pts = np.random.default_rng(6).standard_normal((40, 3))
+        base = divmax.build_distance(pts, kind).d
+        for c in (2.0**-900, 2.0**512, 1e154):
+            got = divmax.build_distance(c * pts, kind).d
+            want = c * base if kind == "l2" else base
+            if math.frexp(c)[0] == 0.5:
+                assert np.array_equal(got, want), c
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("kind", ["l2", "cosine"])
     def test_strided_and_fortran_points_build(self, kind):

@@ -406,3 +406,43 @@ class TestScaleInvariance:
                 assert got[:2] == ref[:2], c
                 assert got[2:] == pytest.approx(ref[2:], rel=1e-9), c
 
+
+    def test_snap_is_finite_at_tiny_gradients(self):
+        got = relaxation._snap(np.array([3e-299, 1e-299, 0.0]))
+        assert np.isfinite(got).all()
+        assert got[0] == 2.0**40 and got[2] == 0.0
+
+    def test_snap_equals_the_direct_product_where_that_is_finite(self):
+        # The direct product grad * (1 / (_TIE_GRID * max|grad|)) overflows
+        # at tiny gradients; wherever it does not, _snap gives its bits.
+        rng = np.random.default_rng(8)
+        for exponent in np.linspace(-250.0, 250.0, 101):
+            for size in (1, 2, 7, 30):
+                grad = rng.standard_normal(size) * 10.0**exponent
+                direct = np.round(grad * (1.0 / (relaxation._TIE_GRID * np.abs(grad).max())))
+                assert np.isfinite(direct).all()
+                assert np.array_equal(relaxation._snap(grad), direct), (exponent, size)
+
+    @pytest.mark.parametrize("kind", ["l1", "l2", "cosine", "explicit"])
+    def test_solve_at_the_ends_of_the_double_range(self, kind):
+        # Powers of two keep every distance exact, so the basis and value / c
+        # are those at c = 1 to the bit.  Before the gradient was scaled by
+        # its exponent, l1 and explicit points gave another basis at 2^-1000;
+        # before the builders scaled by powers of two, l2 gave D = 0 and
+        # cosine refused the points as zero vectors.
+        rng = np.random.default_rng(1)
+        pts, w0 = rng.standard_normal((40, 3)), rng.random(40)
+        m = divmax.UniformMatroid(40, 12)
+
+        def solve(c):
+            if kind == "explicit":
+                dm = divmax.DistanceMatrix(c * divmax.build_distance(pts, "l1").d)
+                w = c * w0
+            else:
+                dm, w = divmax.build_distance(c * pts, kind), None
+            rounded = divmax.round(dm, m, divmax.sweep_slices(dm, m, w).best.point.x, w)
+            return sorted(rounded.basis), rounded.value / (1.0 if kind == "cosine" else c)
+
+        ref = solve(1.0)
+        for c in (2.0**-1000, 2.0**-900, 2.0**500):
+            assert solve(c) == ref, c
