@@ -301,11 +301,12 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
     within rounding of the exact one the theorem covers.
 
     Set-based kinds require `universe` (an int size or an iterable of items).
-    l2 scales the whole cloud by a power of two so that its largest
-    coordinate lies in [0.5, 1), and D back by its inverse; cosine scales
-    each point by its own power of two.  Both are exact in the normal
-    range, so D is that of the unscaled formulas there, and points near
-    the ends of the double range neither square to 0 nor overflow.
+    l1, lp and l2 scale the whole cloud by a power of two so that its
+    largest coordinate lies in [0.5, 1), and D back by its inverse; cosine
+    scales each point by its own power of two.  Exact in the normal range,
+    this gives D of the unscaled formulas there for l1, l2 and cosine (lp
+    moves by ulps in its powers), and points near the ends of the double
+    range neither vanish in a power nor overflow.
 
     Memory: the peak counts the n x n result and the read-only copy that
     DistanceMatrix keeps.  Traced with tracemalloc at n = 1000 (8-dim
@@ -339,10 +340,9 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
             p = float(p)
             if not 1.0 <= p <= 2.0:
                 raise InvalidInputError(f"lp exponent must satisfy 1 <= p <= 2, got {p}")
-        if p != 2.0:
-            return _finalize(_minkowski(pts, p), kind)
         exp = np.frexp(np.abs(pts).max())[1]
-        g = _euclidean(np.ldexp(pts, -exp))
+        pts = np.ldexp(pts, -exp)
+        g = _euclidean(pts) if p == 2.0 else _minkowski(pts, p)
         return _finalize(np.ldexp(g, exp, out=g), kind)
 
     if kind in SET_KINDS:

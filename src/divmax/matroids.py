@@ -14,10 +14,10 @@ oracle alone, and each kind overrides those it answers faster:
                     union-find forest; explicit rank: table lookups)
   * `_slack`     -- min of r(prefix|T) - x(prefix|T) over windowed T that
                     contain i and avoid j (graphic: one minimum cut per
-                    contracted vertex; explicit rank: the table read at every
-                    window subset at once; otherwise, partition included,
-                    the subsets of a window of at most W_MAX elements, one
-                    rank call each)
+                    contracted vertex; otherwise, partition included, every
+                    subset of a window of at most W_MAX elements at once)
+  * `_window_ranks` -- r(base|T) for every subset T of a pool, one rank call
+                    each (explicit rank: one table read)
   * `_ring_piece`, `_ring_step` -- what the rounding asks of a slack
                     search, in closed form (partition) or None
 
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import InternalInvariantError, InvalidInputError
 
 # Hard cap on the elements of an explicit rank table and on the windows
-# that rank-only kinds search subset by subset.
+# that `Matroid._slack` enumerates.
 W_MAX = 20
 # Residual capacities at or below this fraction of a network's total
 # capacity count as saturated when a minimal minimum cut is read off.
@@ -133,26 +133,40 @@ class Matroid:
         return taken
 
     def _slack(self, x, i, j, window, prefix) -> SlackResult:
-        """Windowed slack minimum by enumerating the subsets of the window."""
+        """Windowed slack minimum over every subset of the window at once.
+
+        Subset T of the pool (the window without i and j) is numbered by
+        bitmask, bit b for the b-th smallest pool element; `_window_ranks`
+        gives r(prefix | i | T).  Masses and tie keys are filled one bit at
+        a time, each mass adding its terms from the smallest element up.
+        Among exact minima the fewest elements win, then the first sorted
+        tuple, which holds the smallest element where two sets differ: key
+        |T| 2^p minus T's p-bit mask read backwards.
+        """
         if len(window) > W_MAX:
             raise InvalidInputError(
                 f"window of size {len(window)} exceeds the brute-force cap {W_MAX} "
                 f"for matroid kind {self.kind!r}"
             )
-        pool = sorted(e for e in window if e != i and e != j)
+        pool = sorted(window - {i, j})
         prefix_list = sorted(prefix)
         base_mass = float(sum(x[e] for e in prefix_list)) + x[i]
-        best_val = None
-        best_members = None
-        for t in range(len(pool) + 1):
-            for combo in combinations(pool, t):
-                members = [i] + list(combo)
-                mass = base_mass + float(sum(x[e] for e in combo))
-                val = self.rank(prefix_list + members) - mass
-                if best_val is None or val < best_val:
-                    best_val = val
-                    best_members = members
-        return SlackResult(float(best_val), frozenset(best_members))
+        size = 1 << len(pool)
+        mass = np.zeros(size)
+        key = np.zeros(size, dtype=np.intp)
+        for b, e in enumerate(pool):
+            mass[1 << b : 2 << b] = mass[: 1 << b] + x[e]
+            key[1 << b : 2 << b] = key[: 1 << b] + size - (size >> b + 1)
+        vals = self._window_ranks(prefix_list + [i], pool) - (base_mass + mass)
+        ties = np.flatnonzero(vals == vals.min())
+        best = int(ties[key[ties].argmin()])
+        members = [i] + [e for b, e in enumerate(pool) if best >> b & 1]
+        return SlackResult(float(vals[best]), frozenset(members))
+
+    def _window_ranks(self, base: list, pool: list) -> np.ndarray:
+        """r(base | T) for every subset T of pool, by bitmask (bit b: pool[b]); one rank call each."""
+        subsets = ([e for b, e in enumerate(pool) if mask >> b & 1] for mask in range(1 << len(pool)))
+        return np.fromiter((self.rank(base + t) for t in subsets), dtype=int, count=1 << len(pool))
 
     def _ring_piece(self, ring) -> list | None:
         """First tight piece of a sorted fractional ring (itself if final); None: search."""
@@ -524,35 +538,13 @@ class ExplicitRankMatroid(Matroid):
                     break
         return taken
 
-    def _slack(self, x, i, j, window, prefix) -> SlackResult:
-        """Every subset of the window at once, read off the table.
-
-        The subsets of the pool (the window without i and j) are numbered
-        by bitmask, bit b for the b-th smallest pool element, and their
-        masses and table masks are filled one bit at a time: the subsets
-        holding bit b are those below 2^b plus that element.  So each mass
-        adds its terms from the smallest element up, as `Matroid._slack`
-        sums a combination, and every value is bit-identical to its own.
-        Among exact minima the fewest elements win, then the first sorted
-        tuple: the set the default's enumeration keeps.
-        """
-        pool = sorted(window - {i, j})
-        prefix_list = sorted(prefix)
-        base_mass = float(sum(x[e] for e in prefix_list)) + x[i]
-        mass = np.zeros(1 << len(pool))
+    def _window_ranks(self, base: list, pool: list) -> np.ndarray:
+        """The table read at every subset's mask, the masks filled one pool bit at a time."""
         masks = np.empty(1 << len(pool), dtype=np.intp)
-        masks[0] = sum(1 << e for e in prefix_list) | 1 << i
+        masks[0] = sum(1 << e for e in base)
         for b, e in enumerate(pool):
-            mass[1 << b : 2 << b] = mass[: 1 << b] + x[e]
             masks[1 << b : 2 << b] = masks[: 1 << b] | 1 << e
-        vals = self.ranks[masks] - (base_mass + mass)
-        ties = np.flatnonzero(vals == vals.min())
-        # The first sorted tuple of a size holds the smallest element where
-        # two sets differ: the largest bit row read from bit 0.
-        bits = ties[:, None] >> np.arange(len(pool)) & 1
-        best = int(ties[np.lexsort([*-bits.T[::-1], bits.sum(axis=1)])[0]])
-        members = [i] + [e for b, e in enumerate(pool) if best >> b & 1]
-        return SlackResult(float(vals[best]), frozenset(members))
+        return self.ranks[masks]
 
     def _independent(self, rows: np.ndarray) -> np.ndarray:
         """The rows whose table entry is their length."""
@@ -567,10 +559,7 @@ class ExplicitRankMatroid(Matroid):
         """Tabulate another matroid's rank function (optionally truncated)."""
         if m.n > W_MAX:
             raise InvalidInputError(f"tabulation supports n <= {W_MAX}")
-        table = np.zeros(1 << m.n, dtype=int)
-        for mask in range(1, 1 << m.n):
-            s = [e for e in range(m.n) if mask >> e & 1]
-            table[mask] = m.rank(s)
+        table = m._window_ranks([], list(range(m.n)))
         if truncate_to is not None:
             table = np.minimum(table, int(truncate_to))
         return cls(table)
@@ -664,10 +653,11 @@ def slack_minimize(m: Matroid, x, i, j, window, prefix=frozenset()) -> SlackResu
     `j=None` drops the exclusion constraint (then T ranges over all window
     subsets containing i).  `prefix` must be disjoint from the window; the
     returned argmin is T itself, not prefix|T.  The search is the matroid's
-    own `_slack`: graphic matroids search a window of any size, explicit
-    rank tables read every subset of the window off the table at once, and
-    other kinds, partition ones included, enumerate its subsets with one
-    rank call each, which needs a window of at most W_MAX elements.
+    own `_slack`: graphic matroids search a window of any size by minimum
+    cuts, and every other kind, partition ones included, scores every
+    subset of a window of at most W_MAX elements at once, its ranks read
+    off the table for an explicit rank matroid and one rank call each
+    otherwise.
     """
     x = np.asarray(x, dtype=float)
     window_set = _as_set(window, m.n)

@@ -81,6 +81,25 @@ def _score_vector(w, n: int) -> np.ndarray:
     return w_vec
 
 
+def _check_overflow(dm: DistanceMatrix, k: int, w_vec: np.ndarray) -> None:
+    """Refuse an instance whose solve can exceed the largest double.
+
+    For x in the base polytope and a basis v, the gradient's value
+    (2 D x + w) @ v, and so the gap and value + gap, is at most
+    b = 2 k^2 max d plus the k largest scores.  A face solve sums up to
+    n + 1 terms of that size, one per active vertex, so (n + 1) b must be
+    finite.  max d is taken once per matrix.  Python floats overflow to inf
+    without a warning.
+    """
+    if "_max_d" not in vars(dm):
+        object.__setattr__(dm, "_max_d", float(dm.d.max()))
+    bound = 2 * k * k * dm._max_d + sum(np.sort(w_vec)[len(w_vec) - k :].tolist())
+    if not math.isfinite((len(w_vec) + 1) * bound):
+        raise InvalidInputError(
+            f"objective overflows: (n + 1) (2 k^2 max d plus the {k} largest scores) exceeds the largest double"
+        )
+
+
 def _check_gap_tol(gap_tol: float) -> None:
     if not 0.0 <= gap_tol < np.inf:
         raise InvalidInputError(f"gap tolerance must be finite and >= 0, got {gap_tol}")
@@ -268,10 +287,11 @@ def solve_slice(
     when D and w are scaled together), after ITER_CAP_SCALE * n * k
     iterations, k = rank(M), or when an iteration neither raises the value
     nor keeps a new vertex, which happens only at rounding level.  gap_tol
-    must be finite and >= 0, scores finite and nonnegative, and D of
-    negative type (`cite_or_certify`: cited for a catalogue matrix, else
-    certified once per matrix) unless `force` is set.  A matroid of rank 0 gives the zero point, with
-    value and gap 0.
+    must be finite and >= 0, scores finite and nonnegative, and the solve
+    clear of overflow (`_check_overflow`); D must be of negative type
+    (`cite_or_certify`: cited for a catalogue matrix, else certified once
+    per matrix) unless `force` is set.  A matroid of rank 0 gives the zero
+    point, with value and gap 0.
 
     One iteration costs O(n * k) for the new vertex's D @ v, a sum of k
     rows of D, O(size * k) for its Gram row, O(size * n) for D @ x, and
@@ -284,8 +304,9 @@ def solve_slice(
     _check_gap_tol(gap_tol)
     n = dm.n
     w_vec = _score_vector(w, n)
-    _require_certified(dm, force)
     k = m.full_rank
+    _check_overflow(dm, k, w_vec)
+    _require_certified(dm, force)
     if k == 0:
         return SliceSolution(alpha=0, point=FractionalPoint.of(np.zeros(n), value=0.0), value=0.0,
                              gap=0.0, upper_bound=0.0, iterations=0, converged=True,

@@ -49,7 +49,7 @@ import numpy as np
 from .errors import InternalInvariantError, InvalidInputError
 from .geometry import DistanceMatrix
 from .matroids import Matroid, slack_minimize
-from .relaxation import _TIE_GRID, _require_certified, _score_vector
+from .relaxation import _TIE_GRID, _check_overflow, _require_certified, _score_vector
 
 # Absolute snapping/tightness tolerance for chain bookkeeping.
 TIGHT_TOL = 1e-7
@@ -386,8 +386,9 @@ def round(
     in exact arithmetic tie exactly and the pair rule's index order decides
     between them.  `validate_steps` re-checks all chain invariants after
     every step, and `keep_iterates` stores a copy of x per iteration in the
-    trace.  D must be of negative type (`cite_or_certify`: cited for a
-    catalogue matrix, else certified once per matrix) unless `force` is set.
+    trace.  The instance must be clear of overflow (`_check_overflow`), and
+    D of negative type (`cite_or_certify`: cited for a catalogue matrix,
+    else certified once per matrix) unless `force` is set.
     """
     if dm.n != m.n:
         raise InvalidInputError(f"distance has n={dm.n} but matroid has n={m.n}")
@@ -396,10 +397,11 @@ def round(
     if x.shape != (m.n,):
         raise InvalidInputError(f"x must have shape ({m.n},), got {x.shape}")
     w_vec = _score_vector(w, m.n)
+    k = m.full_rank
+    _check_overflow(dm, k, w_vec)
     x = np.round(x / _TIE_GRID) * _TIE_GRID
     x[x <= TIGHT_TOL] = 0.0
     x[x >= 1.0 - TIGHT_TOL] = 1.0
-    k = m.full_rank
     if k == 0:
         empty_trace = RoundingTrace((), 0.0, 0.0, 0, (), () if keep_iterates else None)
         return RoundResult(basis=(), value=float(0.0), trace=empty_trace)

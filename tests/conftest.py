@@ -339,6 +339,27 @@ def reference_build_chain(m, x, tol: float = TIGHT_TOL):
     return chain
 
 
+def reference_enumerate_slack(m, x, i, j, window, prefix=frozenset()):
+    """Windowed slack search as a loop over itertools combinations, one rank call each.
+
+    An oracle independent of the bitmask search that answers
+    `divmax.slack_minimize` on every kind but graphic: combinations by size,
+    then in lexicographic order, each mass summed from the smallest element
+    up, strict improvements only.  Returns (min_slack, argmin).
+    """
+    pool = sorted(e for e in window if e != i and e != j)
+    prefix_list = sorted(prefix)
+    base_mass = float(sum(x[e] for e in prefix_list)) + x[i]
+    best_val = best_members = None
+    for t in range(len(pool) + 1):
+        for combo in itertools.combinations(pool, t):
+            members = [i] + list(combo)
+            val = m.rank(prefix_list + members) - (base_mass + float(sum(x[e] for e in combo)))
+            if best_val is None or val < best_val:
+                best_val, best_members = val, members
+    return float(best_val), frozenset(best_members)
+
+
 def reference_scan_slack(m, x, i, j, window, prefix=frozenset()):
     """Partition slack search (uniform: one block) as a Python scan over pool prefixes.
 

@@ -477,6 +477,40 @@ class TestSolve:
         assert report["opt_upper_bound"] >= report["baselines"]["exact"]["value"]
         assert report["baselines"]["exact"]["value"] == pytest.approx(max(scores))
 
+    @staticmethod
+    def _scaled(tmp_path, case, c):
+        """40 gaussian 3-dim points under a uniform matroid of rank 12, one entry scaled by c.
+
+        `case` is a distance kind whose points (or, for "explicit", whose l1
+        matrix) are scaled, or "scores": l1 points with every score c.
+        """
+        pts = np.random.default_rng(0).standard_normal((40, 3))
+        doc = {"n": 40, "matroid": {"kind": "uniform", "k": 12}}
+        with np.errstate(over="ignore"):
+            if case == "explicit":
+                doc["distance"] = {"kind": "explicit", "matrix": (c * divmax.build_distance(pts, "l1").d).tolist()}
+            elif case == "scores":
+                doc["distance"], doc["scores"] = {"kind": "l1", "points": pts.tolist()}, [c] * 40
+            else:
+                doc["distance"] = {"kind": case, "points": (c * pts).tolist(), **({"p": 1.5} if case == "lp" else {})}
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("case, c", [("l1", 1e306), ("l1", 1e307), ("explicit", 1e306), ("scores", 1e308)])
+    def test_overflowing_value_exits_2(self, capsys, tmp_path, case, c):
+        # Unchecked, these ended in a traceback from the face solve (an
+        # empty argmin) or in a report with non-finite values.
+        code, out, err = run(capsys, "solve", self._scaled(tmp_path, case, c))
+        assert code == 2 and out == ""
+        assert "overflows" in err
+
+    @pytest.mark.parametrize("e", range(300, 309))
+    def test_huge_scales_solve_or_exit_2(self, capsys, tmp_path, e):
+        for case in ("l1", "l2", "lp", "cosine", "explicit", "scores"):
+            code, _, err = run(capsys, "solve", self._scaled(tmp_path, case, 10.0**e))
+            assert code in (0, 2), (case, err)
+
 
 class TestBoundChecks:
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])

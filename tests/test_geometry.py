@@ -187,7 +187,15 @@ class TestBuildDistanceAccuracy:
             # Several blocks, the last one short.
             assert 1 < _block_rows(n, dim) < n and n % _block_rows(n, dim)
         got = divmax.build_distance(pts, kind, p=p).d
-        assert np.array_equal(got, reference_build_distance(pts, kind, p))
+        if kind == "l1":
+            assert np.array_equal(got, reference_build_distance(pts, kind, p))
+        else:
+            # The cloud is scaled by a power of two, exact for the points
+            # but not for their powers: lp is the reference's D of the
+            # scaled cloud, scaled back.
+            exp = np.frexp(np.abs(pts).max())[1]
+            want = np.ldexp(reference_build_distance(np.ldexp(pts, -exp), kind, p), exp)
+            assert np.array_equal(got, want)
 
     @staticmethod
     def _l2_cases():
@@ -248,15 +256,17 @@ class TestBuildDistanceAccuracy:
                 got = divmax.build_distance(pts, kind).d
                 assert np.array_equal(got, self._unscaled(pts, kind)), exponent
 
-    @pytest.mark.parametrize("kind", ["l2", "cosine"])
+    @pytest.mark.parametrize("kind", ["l1", "lp", "l2", "cosine"])
     def test_extreme_scales_scale_d(self, kind):
-        # The unscaled formulas give D = 0 or refuse zero vectors at 2^-900
-        # and overflow at 1e154.
+        # Unscaled, l2 gives D = 0 and cosine refuses zero vectors at
+        # 2^-900, both overflow at 1e154, and lp gives D = 0 at 1e-300 and
+        # overflows at 2^900.
         pts = np.random.default_rng(6).standard_normal((40, 3))
-        base = divmax.build_distance(pts, kind).d
-        for c in (2.0**-900, 2.0**512, 1e154):
-            got = divmax.build_distance(c * pts, kind).d
-            want = c * base if kind == "l2" else base
+        p = 1.5 if kind == "lp" else None
+        base = divmax.build_distance(pts, kind, p=p).d
+        for c in (2.0**-1000, 2.0**-900, 1e-300, 2.0**512, 1e154, 2.0**900):
+            got = divmax.build_distance(c * pts, kind, p=p).d
+            want = base if kind == "cosine" else c * base
             if math.frexp(c)[0] == 0.5:
                 assert np.array_equal(got, want), c
             else:

@@ -7,7 +7,7 @@ import pytest
 
 import divmax
 from divmax.errors import InvalidInputError
-from divmax.matroids import W_MAX, Matroid, _combinations, validate_rank_table
+from divmax.matroids import W_MAX, _combinations, validate_rank_table
 
 from conftest import (
     RANK_ZERO,
@@ -17,6 +17,7 @@ from conftest import (
     polytope_min_slack,
     random_certified,
     random_matroid,
+    reference_enumerate_slack,
     reference_scan_slack,
 )
 
@@ -424,14 +425,14 @@ class TestGraphicSlack:
     def test_matches_brute_force(self, seed):
         m, x, i, j, window, prefix = random_graphic_window(seed)
         res = divmax.slack_minimize(m, x, i, j, window, prefix)
-        ref = Matroid._slack(m, x, i, j, window, prefix)
-        assert abs(res.min_slack - ref.min_slack) <= 1e-12 * (1 + m.full_rank)
+        ref_val, ref_argmin = reference_enumerate_slack(m, x, i, j, window, prefix)
+        assert abs(res.min_slack - ref_val) <= 1e-12 * (1 + m.full_rank)
         assert i in res.argmin and j not in res.argmin and res.argmin <= window
         # The minimal minimizer; float rounding can make brute force pick a
         # superset of it when x ties exactly.
-        assert res.argmin <= ref.argmin
+        assert res.argmin <= ref_argmin
         if seed % 2 == 0:
-            assert res.argmin == ref.argmin
+            assert res.argmin == ref_argmin
         chosen = prefix | res.argmin
         own = m.rank(chosen) - float(sum(x[e] for e in chosen))
         assert own == pytest.approx(res.min_slack, abs=1e-12 * (1 + m.full_rank))
@@ -445,8 +446,8 @@ class TestGraphicSlack:
         res = divmax.slack_minimize(m, x, 1, None, {1, 2, 3, 4, 5}, prefix={0})
         assert res.argmin == frozenset({1, 2, 3, 4, 5})
         assert res.min_slack == pytest.approx(3 - x.sum())
-        ref = Matroid._slack(m, x, 1, None, {1, 2, 3, 4, 5}, frozenset({0}))
-        assert (res.min_slack, res.argmin) == (ref.min_slack, ref.argmin)
+        ref = reference_enumerate_slack(m, x, 1, None, {1, 2, 3, 4, 5}, frozenset({0}))
+        assert (res.min_slack, res.argmin) == ref
 
     def test_large_window_is_exact(self):
         # K7 with 21 edges, beyond the brute-force cap: a point of the base
@@ -509,10 +510,12 @@ class TestExplicitSlack:
         prefix, window = frozenset(perm[:cut]), frozenset(perm[cut:])
         i = perm[cut]
         j = perm[cut + 1] if cut + 1 < m.n and seed % 4 < 3 else None
-        res = divmax.slack_minimize(m, x, i, j, window, prefix)
-        ref = Matroid._slack(m, x, i, j, window, prefix)
-        assert float(res.min_slack).hex() == float(ref.min_slack).hex()
-        assert res.argmin == ref.argmin
+        ref_val, ref_argmin = reference_enumerate_slack(m, x, i, j, window, prefix)
+        # The table and the same matroid seen through its rank oracle.
+        for oracle in (m, RankOnly(m)):
+            res = divmax.slack_minimize(oracle, x, i, j, window, prefix)
+            assert float(res.min_slack).hex() == float(ref_val).hex()
+            assert res.argmin == ref_argmin
 
     @pytest.mark.parametrize(
         "blocks, x, argmin",
@@ -528,12 +531,12 @@ class TestExplicitSlack:
     def test_unnested_float_ties(self, blocks, x, argmin):
         # In exact arithmetic the minimizers are closed under union and
         # intersection, so the smallest is unique and has the first bitmask.
-        # Rounding can tie sets that are not nested; the default keeps the
-        # first one it enumerates.
+        # Rounding can tie sets that are not nested; the loop reference keeps
+        # the first one it enumerates.
         m = divmax.ExplicitRankMatroid.from_matroid(divmax.PartitionMatroid(blocks, [1] * len(blocks)))
         x = np.array(x)
         res = divmax.slack_minimize(m, x, 0, None, range(m.n))
-        assert res == Matroid._slack(m, x, 0, None, frozenset(range(m.n)), frozenset())
+        assert (res.min_slack, res.argmin) == reference_enumerate_slack(m, x, 0, None, range(m.n))
         assert res.argmin == frozenset(argmin)
 
     def test_sixteen_element_window(self):
@@ -541,8 +544,8 @@ class TestExplicitSlack:
         m = divmax.ExplicitRankMatroid.from_matroid(g)
         x = np.random.default_rng(0).choice([0.25, 0.5, 0.75], size=16)
         res = divmax.slack_minimize(m, x, 3, None, range(16))
-        ref = Matroid._slack(m, x, 3, None, frozenset(range(16)), frozenset())
-        assert (float(res.min_slack).hex(), res.argmin) == (float(ref.min_slack).hex(), ref.argmin)
+        ref_val, ref_argmin = reference_enumerate_slack(m, x, 3, None, range(16))
+        assert (float(res.min_slack).hex(), res.argmin) == (float(ref_val).hex(), ref_argmin)
 
     def test_makes_no_rank_calls(self):
         g = divmax.GraphicMatroid(5, list(itertools.combinations(range(5), 2)))
@@ -551,7 +554,7 @@ class TestExplicitSlack:
         Counting.calls = 0
         res = divmax.slack_minimize(m, x, 2, 7, range(1, m.n), prefix={0})
         assert Counting.calls == 0
-        assert res == Matroid._slack(m, x, 2, 7, frozenset(range(1, m.n)), frozenset({0}))
+        assert (res.min_slack, res.argmin) == reference_enumerate_slack(m, x, 2, 7, range(1, m.n), {0})
 
 
 class TestBasesAndSwaps:

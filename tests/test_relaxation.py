@@ -423,26 +423,65 @@ class TestScaleInvariance:
                 assert np.isfinite(direct).all()
                 assert np.array_equal(relaxation._snap(grad), direct), (exponent, size)
 
-    @pytest.mark.parametrize("kind", ["l1", "l2", "cosine", "explicit"])
+    @pytest.mark.parametrize("kind, n, k", [("l1", 40, 12), ("cosine", 80, 20)])
+    @pytest.mark.parametrize("scored", [False, True])
+    def test_overflow_bound_is_where_solves_stop(self, kind, n, k, scored):
+        # D and w scaled so that (n + 1) (2 k^2 max d + the k largest scores)
+        # is just below, then just above, the largest double.  Where only
+        # k^2 max d plus the scores stayed finite, the face solve overflowed
+        # and rounding got a point of mass 0: l1 at 0.9 of that sum, cosine
+        # (an interior optimum) already at 0.5.
+        rng = np.random.default_rng(5)
+        d0 = divmax.build_distance(rng.standard_normal((n, 3)), kind).d
+        w0 = rng.random(n) if scored else np.zeros(n)
+        bound = (n + 1) * (2 * k * k * d0.max() + np.sort(w0)[n - k :].sum())
+        m = divmax.UniformMatroid(n, k)
+        for f in (0.999, 1.001):
+            c = f * (np.finfo(float).max / bound)
+            dm, w = divmax.DistanceMatrix(c * d0), c * w0
+            if f > 1:
+                with pytest.raises(InvalidInputError, match="overflows"):
+                    divmax.sweep_slices(dm, m, w)
+                with pytest.raises(InvalidInputError, match="overflows"):
+                    divmax.round(dm, m, np.full(n, k / n), w)
+                continue
+            best = divmax.sweep_slices(dm, m, w).best
+            rounded = divmax.round(dm, m, best.point.x, w)
+            assert np.isfinite([best.value, best.upper_bound, rounded.value]).all()
+            assert len(rounded.basis) == k
+
+    @pytest.mark.parametrize("kind", ["l1", "lp", "l2", "cosine", "explicit"])
     def test_solve_at_the_ends_of_the_double_range(self, kind):
-        # Powers of two keep every distance exact, so the basis and value / c
-        # are those at c = 1 to the bit.  Before the gradient was scaled by
-        # its exponent, l1 and explicit points gave another basis at 2^-1000;
-        # before the builders scaled by powers of two, l2 gave D = 0 and
-        # cosine refused the points as zero vectors.
+        # Powers of two keep every distance exact, so under every matroid
+        # kind, with and without scores, (c * D, c * w) gives the basis, the
+        # certificate method and value / c of c = 1 to the bit; cosine points
+        # scaled by c leave D and the value as they are.  Before the gradient
+        # was scaled by its exponent, l1 and explicit points gave another
+        # basis at 2^-1000; before the builders scaled by powers of two, l2
+        # and lp gave D = 0 and cosine refused the points as zero vectors.
+        k6 = divmax.GraphicMatroid(6, list(itertools.combinations(range(6), 2)))
+        matroids = (
+            divmax.UniformMatroid(40, 12),
+            divmax.PartitionMatroid([range(b, b + 10) for b in range(0, 40, 10)], [3] * 4),
+            k6,
+            divmax.ExplicitRankMatroid.from_matroid(k6, truncate_to=4),
+        )
         rng = np.random.default_rng(1)
-        pts, w0 = rng.standard_normal((40, 3)), rng.random(40)
-        m = divmax.UniformMatroid(40, 12)
+        for m, w0 in itertools.product(matroids, (None, "scores")):
+            pts = rng.standard_normal((m.n, 3))
+            w0 = None if w0 is None else rng.random(m.n)
 
-        def solve(c):
-            if kind == "explicit":
-                dm = divmax.DistanceMatrix(c * divmax.build_distance(pts, "l1").d)
-                w = c * w0
-            else:
-                dm, w = divmax.build_distance(c * pts, kind), None
-            rounded = divmax.round(dm, m, divmax.sweep_slices(dm, m, w).best.point.x, w)
-            return sorted(rounded.basis), rounded.value / (1.0 if kind == "cosine" else c)
+            def solve(c):
+                s = 1.0 if kind == "cosine" else c
+                if kind == "explicit":
+                    dm = divmax.DistanceMatrix(c * divmax.build_distance(pts, "l1").d)
+                else:
+                    dm = divmax.build_distance(c * pts, kind, p=1.5 if kind == "lp" else None)
+                w = None if w0 is None else s * w0
+                method = divmax.cite_or_certify(dm).method
+                rounded = divmax.round(dm, m, divmax.sweep_slices(dm, m, w).best.point.x, w)
+                return sorted(rounded.basis), (rounded.value / s).hex(), method
 
-        ref = solve(1.0)
-        for c in (2.0**-1000, 2.0**-900, 2.0**500):
-            assert solve(c) == ref, c
+            ref = solve(1.0)
+            for e in (-1000, -900, -500, -100, 100, 500, 900):
+                assert solve(2.0**e) == ref, (m.kind, w0 is not None, e)

@@ -149,14 +149,17 @@ def test_baselines_import_no_concrete_matroid():
 
 def test_derived_queries_are_overridden_only_by_closed_forms():
     # `Matroid` derives bases, swaps and `is_independent` from `_independent`;
-    # partition bases and swaps and graphic swaps keep closed forms.
+    # partition bases and swaps and graphic swaps keep closed forms.  The one
+    # subset search reads `_window_ranks`; graphic windows are cut instead.
     defined = {
         query: [name for name in MATROID_CLASSES if query in vars(getattr(divmax, name))]
-        for query in ("_independent", "_bases", "_swap_mask", "is_independent")
+        for query in ("_independent", "_bases", "_swap_mask", "is_independent", "_slack", "_window_ranks")
     }
     assert defined == {
         "_independent": ["Matroid", "GraphicMatroid", "ExplicitRankMatroid"],
         "_bases": ["Matroid", "PartitionMatroid"],
         "_swap_mask": ["Matroid", "PartitionMatroid", "GraphicMatroid"],
         "is_independent": ["Matroid"],
+        "_slack": ["Matroid", "GraphicMatroid"],
+        "_window_ranks": ["Matroid", "ExplicitRankMatroid"],
     }
