@@ -163,9 +163,9 @@ class UnionInequalityCheck:
 
 
 def _finalize(m: np.ndarray, provenance: str | None) -> DistanceMatrix:
-    # Diagonal and negativity cleanup of float fuzz, in place.  Every builder
-    # forms entry (i, j) by the same operations as (j, i), so m is already
-    # exactly symmetric; DistanceMatrix re-checks that.
+    # Diagonal and negativity cleanup of float fuzz, in place.  m is exactly
+    # symmetric already, by mirroring (l1, lp, l2) or by forming (i, j) and
+    # (j, i) alike; DistanceMatrix re-checks that.
     m = np.asarray(m, dtype=float)
     np.fill_diagonal(m, 0.0)
     np.clip(m, 0.0, None, out=m)
@@ -174,28 +174,68 @@ def _finalize(m: np.ndarray, provenance: str | None) -> DistanceMatrix:
     return dm
 
 
-def _block_rows(n: int, width: int) -> int:
-    """Rows per block so that a (rows, n, width) float temporary fits _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (8 * n * max(width, 1)))
+def _block_rows(width: int) -> int:
+    """Rows per block so that a (rows, width) float temporary fits _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+
+
+def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
+    """term(lo) + ... + term(hi - 1), fresh arrays added in numpy's pairwise order.
+
+    numpy's `pairwise_sum` (8 accumulators, 128-element blocks) adds under
+    8 terms in sequence; up to 128, lane j adds terms j, j + 8, ... in
+    sequence, then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then
+    the rest in sequence; beyond 128, halves split at a multiple of 8.
+    `test_l1_lp_bit_identical` and `test_summation_order_branches` guard it.
+    """
+    m = hi - lo
+    if m > 128:
+        half = m // 2 - (m // 2) % 8
+        acc = _pairwise_sum(term, lo, lo + half)
+        acc += _pairwise_sum(term, lo + half, hi)
+        return acc
+    lanes = 8 if m >= 8 else 1
+    stop = hi - m % lanes
+
+    def lane(j):
+        acc = term(lo + j)
+        for k in range(lo + j + lanes, stop, lanes):
+            acc += term(k)
+        return acc
+
+    accs = [lane(j) for j in range(lanes)]
+    while len(accs) > 1:  # pairwise, as ((r0 + r1) + (r2 + r3)) + ...
+        for left, right in zip(accs[::2], accs[1::2]):
+            left += right
+        accs = accs[::2]
+    for k in range(stop, hi):
+        accs[0] += term(k)
+    return accs[0]
 
 
 def _minkowski(pts: np.ndarray, p: float) -> np.ndarray:
-    """sum_k |a_k - b_k|**p, then the p-th root, one block of rows at a time.
+    """(sum_k |a_k - b_k|**p)**(1/p) on the upper triangle of each row block.
 
-    Each entry is reduced over the same contiguous axis as the full
-    (n, n, dim) difference tensor would be, so the result is bit-identical.
+    One (rows, n - r0) term per coordinate, added as numpy's `sum(axis=-1)`
+    adds the (n, n, dim) difference tensor, which is never formed, so the
+    result is bit-identical.  Mirroring is exact: |a - b| == |b - a|.
     """
     n, dim = pts.shape
+    cols = pts.T.copy()
     out = np.empty((n, n))
-    step = _block_rows(n, dim)
+    step = _block_rows(4 * n)  # (rows, n) arrays of _BLOCK_BYTES / 4 stay in cache
     for r0 in range(0, n, step):
-        diff = pts[r0 : r0 + step, None, :] - pts[None, :, :]
-        np.abs(diff, out=diff)
+        a, b = cols[:, r0 : r0 + step, None], cols[:, None, r0:]
+
+        def term(k):
+            t = np.abs(a[k] - b[k])
+            return t if p == 1.0 else np.power(t, p, out=t)
+
+        blk = out[r0 : r0 + step, r0:]
+        blk[...] = _pairwise_sum(term, 0, dim)
         if p != 1.0:
-            np.power(diff, p, out=diff)
-        diff.sum(axis=-1, out=out[r0 : r0 + step])
-    if p != 1.0:
-        np.power(out, 1.0 / p, out=out)
+            np.power(blk, 1.0 / p, out=blk)
+        out[r0 + step :, r0 : r0 + step] = blk[:, step:].T
     return out
 
 
@@ -207,24 +247,26 @@ def _euclidean(pts: np.ndarray) -> np.ndarray:
     cancels, g <= _GRAM_CANCEL * (|a|^2 + |b|^2), |a - b|^2 is summed from
     the differences of the original points instead, which keeps the
     relative error of every entry below about 1e-11.  The diagonal is
-    exactly 0.
+    exactly 0.  Each row block is done on its upper triangle and mirrored.
     """
     n, dim = pts.shape
     centered = pts - pts.mean(axis=0)
     sq = np.einsum("ij,ij->i", centered, centered)
     g = centered @ centered.T  # numpy forms x @ x.T symmetrically (syrk)
-    step = _block_rows(n, dim)
+    step, pairs = _block_rows(4 * n), _block_rows(dim)  # blocks as in _minkowski
     for r0 in range(0, n, step):
-        rows = g[r0 : r0 + step]
-        scale = sq[r0 : r0 + step, None] + sq[None, :]
-        rows *= -2.0
-        rows += scale
-        i, j = np.nonzero(rows <= _GRAM_CANCEL * scale)
-        if i.size:
-            diff = pts[r0 + i] - pts[j]
-            rows[i, j] = (diff * diff).sum(axis=-1)
-    np.clip(g, 0.0, None, out=g)
-    np.sqrt(g, out=g)
+        blk = g[r0 : r0 + step, r0:]
+        scale = sq[r0 : r0 + step, None] + sq[None, r0:]
+        blk *= -2.0
+        blk += scale
+        i, j = np.nonzero(blk <= _GRAM_CANCEL * scale)
+        for c0 in range(0, i.size, pairs):
+            ic, jc = i[c0 : c0 + pairs], j[c0 : c0 + pairs]
+            diff = pts[r0 + ic] - pts[r0 + jc]
+            blk[ic, jc] = (diff * diff).sum(axis=-1)
+        np.clip(blk, 0.0, None, out=blk)
+        np.sqrt(blk, out=blk)
+        g[r0 + step :, r0 : r0 + step] = blk[:, step:].T
     return g
 
 
@@ -311,12 +353,12 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
     Memory: the peak counts the n x n result and the read-only copy that
     DistanceMatrix keeps.  Traced with tracemalloc at n = 1000 (8-dim
     points, a 60-item universe), in n * n floats: l1, lp and l2 2.0, cosine
-    3.0, simple_matching and russell_rao 5.1, dice 5.2, jaccard 6.2.  l1
-    and lp work one block of rows at a time, each block's (rows, n, dim)
-    difference tensor capped near _BLOCK_BYTES (1 MiB); l2 forms the Gram
-    matrix in the result buffer and recomputes cancelling pairs in blocks
-    of the same size.  Cosine and the set kinds hold several n x n
-    temporaries at once.
+    3.0, simple_matching and russell_rao 5.1, dice 5.2, jaccard 6.2.  l1,
+    lp and l2 fill the upper triangle of a block of rows and mirror it, with
+    no (rows, n, dim) difference tensor and temporaries near _BLOCK_BYTES
+    (1 MiB): l1 and lp add a (rows, n) term per coordinate, and l2 forms the
+    Gram matrix in the result buffer and recomputes cancelling pairs in
+    batches.  Cosine and the set kinds hold several n x n temporaries.
     """
     if kind == "explicit":
         return DistanceMatrix(np.asarray(data, dtype=float))
@@ -343,6 +385,7 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
         exp = np.frexp(np.abs(pts).max())[1]
         pts = np.ldexp(pts, -exp)
         g = _euclidean(pts) if p == 2.0 else _minkowski(pts, p)
+        del pts  # not held through the copy that DistanceMatrix makes
         return _finalize(np.ldexp(g, exp, out=g), kind)
 
     if kind in SET_KINDS:
@@ -449,10 +492,8 @@ def schoenberg_form(dm: DistanceMatrix, base_point: int = 0) -> SchoenbergForm:
 
 def _inf_norm(a: np.ndarray) -> float:
     """||a||_inf, the largest absolute row sum, one block of rows at a time."""
-    step = _block_rows(a.shape[1], 1)
-    return max(
-        float(np.abs(a[r0 : r0 + step]).sum(axis=1).max()) for r0 in range(0, a.shape[0], step)
-    )
+    step = _block_rows(a.shape[1])
+    return max(float(np.abs(a[r0 : r0 + step]).sum(axis=1).max()) for r0 in range(0, len(a), step))
 
 
 def _cholesky_in_place(a: np.ndarray) -> bool:
@@ -513,12 +554,12 @@ def certify_negative_type(dm: DistanceMatrix) -> NegTypeCertificate:
     Acceptance threshold: min eigenvalue of Q >= -tau with
     tau = PSD_TOL_SCALE * ||Q||_inf, so c * D gets the same verdict as D
     for every c > 0.  The verdict comes from one blocked Cholesky
-    factorization of A = Q[1:, 1:] + tau * I, formed from D in a single
-    (n-1) x (n-1) buffer and factored in place.  If the factor exists, Q
-    has no eigenvalue below -tau up to a backward error of about
-    n * eps * ||Q||, and D is accepted with `min_eigenvalue` None and
+    factorization of A = Q[1:, 1:] + tau * I, formed from D times a power
+    of four in a single (n-1) x (n-1) buffer and factored in place.  If the
+    factor exists, Q has no eigenvalue below -tau up to a backward error of
+    about n * eps * ||Q||, and D is accepted with `min_eigenvalue` None and
     method "cholesky".
-    Only when the factorization fails does `eigh` run on the Schoenberg
+    Only when the factorization fails does `eigh` run on the same scaled
     form (method "eigh"): its smallest eigenvalue decides against the same
     threshold and, on rejection, its eigenvector gives the witness b
     (zero-sum, b @ D @ b > 0).  An all-zero D has tau == 0 and no factor;
@@ -543,25 +584,40 @@ def cite_or_certify(dm: DistanceMatrix) -> NegTypeCertificate:
     return _CITED if dm.provenance is not None else certify_negative_type(dm)
 
 
-def _certify(dm: DistanceMatrix) -> NegTypeCertificate:
-    c = dm.d[0, 1:]
-    a = np.add.outer(c, c)
-    a -= dm.d[1:, 1:]
+def _scaled_form(dm: DistanceMatrix, e: int) -> np.ndarray:
+    """Q[1:, 1:] * 2**e, formed from D in one (n-1) x (n-1) buffer."""
+    c, a = np.ldexp(dm.d[0, 1:], e), np.ldexp(dm.d[1:, 1:], e)
+    step = _block_rows(len(c))
+    for r0 in range(0, len(c), step):
+        np.subtract(np.add.outer(c[r0 : r0 + step], c), a[r0 : r0 + step], out=a[r0 : r0 + step])
     a *= 0.5
+    return a
+
+
+def _certify(dm: DistanceMatrix) -> NegTypeCertificate:
+    # With e even and max D * 2**e in [1/4, 1), nothing below overflows, and
+    # in the normal range every step, square roots too, scales exactly.
+    e = -2 * ((math.frexp(float(dm.d.max()))[1] + 1) // 2)
+    a = _scaled_form(dm, e)
     tau = PSD_TOL_SCALE * _inf_norm(a)
     a.reshape(-1)[:: a.shape[0] + 1] += tau
     if _cholesky_in_place(a):
         return NegTypeCertificate(is_negative_type=True, min_eigenvalue=None, method="cholesky")
-    del a  # the Schoenberg form and eigh allocate their own n x n arrays
-    evals, evecs = np.linalg.eigh(schoenberg_form(dm, 0).q[1:, 1:])
-    min_eig = float(evals[0])
-    if min_eig >= -tau:
+    del a  # overwritten by the factorization
+    evals, evecs = np.linalg.eigh(_scaled_form(dm, e))
+    min_eig = float(np.ldexp(evals[0], -e))
+    if evals[0] >= -tau:
         return NegTypeCertificate(is_negative_type=True, min_eigenvalue=min_eig, method="eigh")
     u = evecs[:, 0]
     b = np.empty(dm.n)
     b[1:] = u
     b[0] = -u.sum()
-    value = float(b @ dm.d @ b)
+    v = np.ldexp(b, e // 2)
+    value = float(v @ dm.d @ v)
+    try:
+        value = math.ldexp(value, -e)
+    except OverflowError:  # b @ D @ b is beyond the double range; v @ D @ v is not
+        b = v
     if value <= 0:
         # b @ D @ b == -2 * min_eig * |u|^2 > 0 must hold for a genuinely
         # negative eigenvalue; anything else is a numerical contradiction.
@@ -569,13 +625,7 @@ def _certify(dm: DistanceMatrix) -> NegTypeCertificate:
             f"negative eigenvalue {min_eig} produced a non-violating witness ({value})"
         )
     b.setflags(write=False)
-    return NegTypeCertificate(
-        is_negative_type=False,
-        min_eigenvalue=min_eig,
-        method="eigh",
-        witness=b,
-        witness_value=value,
-    )
+    return NegTypeCertificate(False, min_eig, "eigh", witness=b, witness_value=value)
 
 
 def check_union_inequality(dm: DistanceMatrix, x, a, b) -> UnionInequalityCheck:

@@ -54,26 +54,57 @@ def random_certified(seed: int, n: int, kind: str = "l2", dim: int = 3):
 
 
 def reference_build_distance(points, kind: str, p: float | None = None) -> np.ndarray:
-    """Dense reference for l1, l2 and lp points: the full n x n x dim differences.
+    """Dense reference for l1, l2 and lp points: the n x n x dim differences.
 
     This is the builder `divmax.build_distance` used before it worked in
     blocks; it returns the cleaned, exactly symmetric matrix as an array.
+    The difference tensor is reduced 16 rows at a time, which bounds its
+    memory and leaves each entry numpy's sum over the tensor's contiguous
+    last axis.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     p = {"l1": 1.0, "l2": 2.0}.get(kind, p)
-    diff = np.abs(pts[:, None, :] - pts[None, :, :])
-    if p == 1.0:
-        m = diff.sum(axis=-1)
-    elif p == 2.0:
-        m = np.sqrt((diff**2).sum(axis=-1))
-    else:
-        m = (diff**p).sum(axis=-1) ** (1.0 / p)
+    n = pts.shape[0]
+    m = np.empty((n, n))
+    for r0 in range(0, n, 16):
+        diff = np.abs(pts[r0 : r0 + 16, None, :] - pts[None, :, :])
+        if p == 1.0:
+            m[r0 : r0 + 16] = diff.sum(axis=-1)
+        elif p == 2.0:
+            m[r0 : r0 + 16] = np.sqrt((diff**2).sum(axis=-1))
+        else:
+            m[r0 : r0 + 16] = (diff**p).sum(axis=-1) ** (1.0 / p)
     m = 0.5 * (m + m.T)
     np.fill_diagonal(m, 0.0)
     np.clip(m, 0.0, None, out=m)
     return m
+
+
+def reference_euclidean(pts: np.ndarray) -> np.ndarray:
+    """The l2 builder `geometry._euclidean` before it worked on the upper triangle.
+
+    Verbatim but for its block rule, then `_block_rows(n, dim)`: rows so
+    that a (rows, n, dim) float temporary fits _BLOCK_BYTES.
+    """
+    n, dim = pts.shape
+    centered = pts - pts.mean(axis=0)
+    sq = np.einsum("ij,ij->i", centered, centered)
+    g = centered @ centered.T  # numpy forms x @ x.T symmetrically (syrk)
+    step = max(1, geometry._BLOCK_BYTES // (8 * n * max(dim, 1)))
+    for r0 in range(0, n, step):
+        rows = g[r0 : r0 + step]
+        scale = sq[r0 : r0 + step, None] + sq[None, :]
+        rows *= -2.0
+        rows += scale
+        i, j = np.nonzero(rows <= geometry._GRAM_CANCEL * scale)
+        if i.size:
+            diff = pts[r0 + i] - pts[j]
+            rows[i, j] = (diff * diff).sum(axis=-1)
+    np.clip(g, 0.0, None, out=g)
+    np.sqrt(g, out=g)
+    return g
 
 
 def reference_is_metric(d: np.ndarray, tol: float) -> bool:

@@ -22,6 +22,7 @@ from conftest import (
     assert_matches_eigh_reference,
     random_certified,
     reference_build_distance,
+    reference_euclidean,
     reference_is_metric,
 )
 
@@ -179,23 +180,52 @@ class TestBuildDistance:
 class TestBuildDistanceAccuracy:
     """The blocked and Gram-identity builders against the difference tensor."""
 
+    @staticmethod
+    def _minkowski_reference(pts, kind, p):
+        if kind == "l1":
+            return reference_build_distance(pts, kind, p)
+        # The cloud is scaled by a power of two, exact for the points but
+        # not for their powers: lp is the reference's D of the scaled
+        # cloud, scaled back.
+        exp = np.frexp(np.abs(pts).max())[1]
+        return np.ldexp(reference_build_distance(np.ldexp(pts, -exp), kind, p), exp)
+
     @pytest.mark.parametrize("kind,p", [("l1", None), ("lp", 1.5)])
     @pytest.mark.parametrize("n,dim", [(9, 3), (300, 16), (700, 1)])
     def test_l1_lp_bit_identical(self, kind, p, n, dim):
         pts = np.random.default_rng(n + dim).standard_normal((n, dim))
         if n > 9:
-            # Several blocks, the last one short.
-            assert 1 < _block_rows(n, dim) < n and n % _block_rows(n, dim)
+            # Several blocks, the last one short: a block is _block_rows(4 * n) rows.
+            assert 1 < _block_rows(4 * n) < n and n % _block_rows(4 * n)
         got = divmax.build_distance(pts, kind, p=p).d
-        if kind == "l1":
-            assert np.array_equal(got, reference_build_distance(pts, kind, p))
-        else:
-            # The cloud is scaled by a power of two, exact for the points
-            # but not for their powers: lp is the reference's D of the
-            # scaled cloud, scaled back.
-            exp = np.frexp(np.abs(pts).max())[1]
-            want = np.ldexp(reference_build_distance(np.ldexp(pts, -exp), kind, p), exp)
-            assert np.array_equal(got, want)
+        assert np.array_equal(got, self._minkowski_reference(pts, kind, p))
+
+    @pytest.mark.parametrize("kind,p", [("l1", None), ("lp", 1.5)])
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 17, 128, 129, 300])
+    def test_summation_order_branches(self, monkeypatch, kind, p, dim):
+        # numpy's pairwise order: one lane below 8 terms; 8 lanes from 8 to
+        # 128, with a tail at 9, 17 and 129 terms; halves beyond 128.  Blocks
+        # of 60 rows divide n = 300, blocks of 64 do not.
+        rng = np.random.default_rng(dim)
+        for n in (2, 9, 300):
+            pts = rng.standard_normal((n, dim))
+            want = self._minkowski_reference(pts, kind, p)
+            assert np.array_equal(divmax.build_distance(pts, kind, p=p).d, want), n
+            for rows in (60, 64):
+                with monkeypatch.context() as m:
+                    m.setattr(geometry, "_BLOCK_BYTES", 8 * 4 * n * rows)
+                    assert _block_rows(4 * n) == rows
+                    assert np.array_equal(divmax.build_distance(pts, kind, p=p).d, want), (n, rows)
+
+    @pytest.mark.parametrize("kind,p", [("l1", None), ("lp", 1.5)])
+    @pytest.mark.parametrize("n,dim", [(1500, 16), (2000, 8)])
+    def test_front_large_shapes_bit_identical(self, kind, p, n, dim):
+        # The shapes of the front-large benchmark; the default block leaves
+        # a short last block at n = 1500 and divides n = 2000.
+        assert (n % _block_rows(4 * n) != 0) == (n == 1500)
+        pts = np.random.default_rng(n).standard_normal((n, dim))
+        got = divmax.build_distance(pts, kind, p=p).d
+        assert np.array_equal(got, self._minkowski_reference(pts, kind, p))
 
     @staticmethod
     def _l2_cases():
@@ -221,6 +251,23 @@ class TestBuildDistanceAccuracy:
         ref = reference_build_distance(pts, "l2")
         assert (ref > 0).sum() == pts.shape[0] * (pts.shape[0] - 1)
         assert np.max(np.abs(got - ref) / np.where(ref > 0, ref, 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("case", ["random", "near_duplicates", "shifted_1e6", "scaled_1e-8",
+                                      "scaled_1e8", "one_far_point", "duplicates", "n2000"])
+    def test_l2_bit_identical_to_triangle_free_builder(self, case):
+        # Against `reference_euclidean`, which forms the whole Gram identity
+        # and fix-up with no mirroring.
+        rng = np.random.default_rng(4)
+        dup = rng.standard_normal((40, 7)) * 1e3 + 5e5
+        pts = {
+            **self._l2_cases(),
+            "duplicates": np.vstack([dup, dup[::3], dup[:5]]),
+            "n2000": rng.standard_normal((2000, 8)),
+        }[case]
+        exp = np.frexp(np.abs(pts).max())[1]
+        want = np.ldexp(reference_euclidean(np.ldexp(pts, -exp)), exp)
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(divmax.build_distance(pts, "l2").d, want)
 
     def test_l2_exact_duplicates_are_zero(self):
         rng = np.random.default_rng(4)
@@ -306,6 +353,24 @@ class TestMemoryBound:
         pts = np.tile(np.arange(8.0), (n, 1))
         out = []
         assert _traced_peak_units(lambda: out.append(divmax.build_distance(pts, "l2")), n) < 4.0
+        assert not out[0].d.any()
+
+    @pytest.mark.parametrize("kind", ["l1", "lp", "l2"])
+    @pytest.mark.parametrize("dim", [16, 300])
+    def test_no_difference_tensor(self, kind, dim):
+        # The result and the copy DistanceMatrix keeps are 2.0; the scaled
+        # points, 0.2 at dim 300, are freed before that copy.
+        n = 1500
+        pts = np.random.default_rng(dim).standard_normal((n, dim))
+        p = 1.5 if kind == "lp" else None
+        assert _traced_peak_units(lambda: divmax.build_distance(pts, kind, p=p), n) < 2.2
+
+    def test_identical_points_at_dim_300_peak(self):
+        # Every pair cancels, and the fix-up batches its (pairs, dim) differences.
+        n = 1500
+        pts = np.tile(np.arange(300.0), (n, 1))
+        out = []
+        assert _traced_peak_units(lambda: out.append(divmax.build_distance(pts, "l2")), n) < 2.2
         assert not out[0].d.any()
 
     def test_certify_peak(self):
@@ -510,6 +575,27 @@ class TestCertification:
         assert not cert.is_negative_type
         assert cert.min_eigenvalue == pytest.approx(c * (1 - 5**0.5) / 2, rel=1e-9)
         assert cert.witness_value > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejected_at_the_ends_of_the_double_range(self):
+        # Unscaled, ||Q||_inf overflows at c = 1e306, which makes tau inf
+        # and lets the shifted factorization accept.  Powers of two scale
+        # every step exactly, the witness included.
+        d = divmax.build_distance(np.random.default_rng(7).standard_normal((40, 3)), "l1").d.copy()
+        d[0, 1] = d[1, 0] = 60.0
+        base = divmax.certify_negative_type(divmax.DistanceMatrix(d))
+        assert not base.is_negative_type and base.method == "eigh"
+        for c in (1e306, 2.0**1000, 2.0**-1000):
+            cert = divmax.certify_negative_type(divmax.DistanceMatrix(c * d))
+            assert not cert.is_negative_type and cert.method == "eigh", c
+            assert cert.min_eigenvalue == pytest.approx(c * base.min_eigenvalue, rel=1e-12)
+            b = cert.witness
+            assert 0.0 < cert.witness_value < math.inf
+            assert abs(b.sum()) <= 1e-12 * np.abs(b).sum()
+            if math.frexp(c)[0] == 0.5:
+                assert cert.min_eigenvalue == c * base.min_eigenvalue
+                assert np.array_equal(b, base.witness)
+                assert cert.witness_value == c * base.witness_value
 
     def test_verdicts_do_not_change_with_scale(self):
         single = np.zeros((6, 6))
