@@ -233,7 +233,7 @@ def cmd_exact(args) -> int:
 
 
 def _ratio(num: float, den: float) -> str:
-    if abs(den) < 1e-300:
+    if den == 0:
         return "n/a"
     return f"{num / den:.6f}"
 

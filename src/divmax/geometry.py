@@ -179,63 +179,33 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
 
 
-def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
-    """term(lo) + ... + term(hi - 1), fresh arrays added in numpy's pairwise order.
-
-    numpy's `pairwise_sum` (8 accumulators, 128-element blocks) adds under
-    8 terms in sequence; up to 128, lane j adds terms j, j + 8, ... in
-    sequence, then ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then
-    the rest in sequence; beyond 128, halves split at a multiple of 8.
-    `test_l1_lp_bit_identical` and `test_summation_order_branches` guard it.
-    """
-    m = hi - lo
-    if m > 128:
-        half = m // 2 - (m // 2) % 8
-        acc = _pairwise_sum(term, lo, lo + half)
-        acc += _pairwise_sum(term, lo + half, hi)
-        return acc
-    lanes = 8 if m >= 8 else 1
-    stop = hi - m % lanes
-
-    def lane(j):
-        acc = term(lo + j)
-        for k in range(lo + j + lanes, stop, lanes):
-            acc += term(k)
-        return acc
-
-    accs = [lane(j) for j in range(lanes)]
-    while len(accs) > 1:  # pairwise, as ((r0 + r1) + (r2 + r3)) + ...
-        for left, right in zip(accs[::2], accs[1::2]):
-            left += right
-        accs = accs[::2]
-    for k in range(stop, hi):
-        accs[0] += term(k)
-    return accs[0]
-
-
 def _minkowski(pts: np.ndarray, p: float) -> np.ndarray:
     """(sum_k |a_k - b_k|**p)**(1/p) on the upper triangle of each row block.
 
-    One (rows, n - r0) term per coordinate, added as numpy's `sum(axis=-1)`
-    adds the (n, n, dim) difference tensor, which is never formed, so the
-    result is bit-identical.  Mirroring is exact: |a - b| == |b - a|.
+    The (rows, n - r0) terms, one per coordinate, are added in coordinate
+    order into one accumulator; no difference tensor is formed.  Mirroring
+    is exact: |a - b| == |b - a|.
     """
     n, dim = pts.shape
     cols = pts.T.copy()
     out = np.empty((n, n))
     step = _block_rows(4 * n)  # (rows, n) arrays of _BLOCK_BYTES / 4 stay in cache
     for r0 in range(0, n, step):
-        a, b = cols[:, r0 : r0 + step, None], cols[:, None, r0:]
+        a, b = cols[:, r0 : r0 + step, None], cols[:, r0:]
 
-        def term(k):
-            t = np.abs(a[k] - b[k])
-            return t if p == 1.0 else np.power(t, p, out=t)
+        def term(k, buf):  # |b_k - a_k|; a row fill and a subtraction beat one broadcast
+            buf[...] = b[k]
+            np.abs(np.subtract(buf, a[k], out=buf), out=buf)
+            return buf if p == 1.0 else np.power(buf, p, out=buf)
 
-        blk = out[r0 : r0 + step, r0:]
-        blk[...] = _pairwise_sum(term, 0, dim)
+        acc, buf = np.empty((2, a.shape[1], n - r0))
+        term(0, acc)
+        for k in range(1, dim):
+            acc += term(k, buf)
         if p != 1.0:
-            np.power(blk, 1.0 / p, out=blk)
-        out[r0 + step :, r0 : r0 + step] = blk[:, step:].T
+            np.power(acc, 1.0 / p, out=acc)
+        out[r0 : r0 + step, r0:] = acc
+        out[r0 + step :, r0 : r0 + step] = acc[:, step:].T
     return out
 
 
@@ -287,6 +257,8 @@ def _incidence(data, universe) -> np.ndarray:
     if universe is None:
         raise InvalidInputError("set-based distances require an explicit universe")
     if isinstance(universe, (int, np.integer)):
+        if universe < 0:
+            raise InvalidInputError(f"universe size must be nonnegative, got {universe}")
         items = list(range(int(universe)))
     else:
         items = list(universe)
@@ -356,9 +328,10 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
     3.0, simple_matching and russell_rao 5.1, dice 5.2, jaccard 6.2.  l1,
     lp and l2 fill the upper triangle of a block of rows and mirror it, with
     no (rows, n, dim) difference tensor and temporaries near _BLOCK_BYTES
-    (1 MiB): l1 and lp add a (rows, n) term per coordinate, and l2 forms the
-    Gram matrix in the result buffer and recomputes cancelling pairs in
-    batches.  Cosine and the set kinds hold several n x n temporaries.
+    (1 MiB): l1 and lp add a (rows, n) term per coordinate, in coordinate
+    order, and l2 forms the Gram matrix in the result buffer and recomputes
+    cancelling pairs in batches.  Cosine and the set kinds hold several
+    n x n temporaries.
     """
     if kind == "explicit":
         return DistanceMatrix(np.asarray(data, dtype=float))
@@ -439,7 +412,7 @@ def transform_distance(
       "power"         -- d**alpha with 0 < alpha <= 1
       "ratio"         -- d / (1 + d)
       "log1p"         -- log(1 + d)
-      "exp_decay"     -- 1 - exp(-lam * d) with lam > 0
+      "exp_decay"     -- 1 - exp(-lam * d) with 0 < lam < inf
       "metric_power"  -- d**log2(n/(n-1)); requires d to be a metric, and
                          maps any metric to a negative-type (indeed metric)
                          distance
@@ -459,8 +432,8 @@ def transform_distance(
     elif transform == "log1p":
         out = np.log1p(d)
     elif transform == "exp_decay":
-        if lam is None or not float(lam) > 0.0:
-            raise InvalidInputError("exp_decay transform requires lam > 0")
+        if lam is None or not 0.0 < float(lam) < math.inf:
+            raise InvalidInputError("exp_decay transform requires finite lam > 0")
         out = -np.expm1(-float(lam) * d)
     elif transform == "metric_power":
         if not is_metric(dm):

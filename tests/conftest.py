@@ -53,29 +53,36 @@ def random_certified(seed: int, n: int, kind: str = "l2", dim: int = 3):
     return divmax.build_distance(sets, kind, universe=universe)
 
 
-def reference_build_distance(points, kind: str, p: float | None = None) -> np.ndarray:
+def reference_build_distance(
+    points, kind: str, p: float | None = None, *, in_order: bool = False
+) -> np.ndarray:
     """Dense reference for l1, l2 and lp points: the n x n x dim differences.
 
     This is the builder `divmax.build_distance` used before it worked in
     blocks; it returns the cleaned, exactly symmetric matrix as an array.
     The difference tensor is reduced 16 rows at a time, which bounds its
-    memory and leaves each entry numpy's sum over the tensor's contiguous
-    last axis.
+    memory.  Each entry is numpy's sum over the tensor's contiguous last
+    axis or, with `in_order`, the last entry of `np.add.accumulate` along
+    it: the terms added strictly in coordinate order.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     p = {"l1": 1.0, "l2": 2.0}.get(kind, p)
+
+    def total(terms):
+        return np.add.accumulate(terms, axis=-1)[..., -1] if in_order else terms.sum(axis=-1)
+
     n = pts.shape[0]
     m = np.empty((n, n))
     for r0 in range(0, n, 16):
         diff = np.abs(pts[r0 : r0 + 16, None, :] - pts[None, :, :])
         if p == 1.0:
-            m[r0 : r0 + 16] = diff.sum(axis=-1)
+            m[r0 : r0 + 16] = total(diff)
         elif p == 2.0:
-            m[r0 : r0 + 16] = np.sqrt((diff**2).sum(axis=-1))
+            m[r0 : r0 + 16] = np.sqrt(total(diff**2))
         else:
-            m[r0 : r0 + 16] = (diff**p).sum(axis=-1) ** (1.0 / p)
+            m[r0 : r0 + 16] = total(diff**p) ** (1.0 / p)
     m = 0.5 * (m + m.T)
     np.fill_diagonal(m, 0.0)
     np.clip(m, 0.0, None, out=m)

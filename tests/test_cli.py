@@ -403,6 +403,14 @@ class TestSolve:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_negative_universe_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "universe.json"
+        sets = {"kind": "jaccard", "sets": [[], [], [], []], "universe": -3}
+        path.write_text(json.dumps({**LINE_POINTS, "distance": sets}))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 2 and out == ""
+        assert "universe size must be nonnegative" in err
+
     @pytest.mark.parametrize(
         "mask, rank, axiom",
         [
@@ -587,6 +595,21 @@ class TestCompare:
         assert verdict in out
         report = solve_report(capsys, str(path))
         assert report["bound_checks"]["guarantee_vacuous"] is (k == 5)
+
+    def test_ratios_at_every_scale(self, capsys, tmp_path):
+        # solve(c * D) is solve(D) with every value times c, so the ratios
+        # print alike, also where every value is far below 1e-300.
+        doc = divmax.gen_random_points(12, 3, "l2", 2, k=4).to_dict()
+        points = np.asarray(doc["distance"]["points"])
+        ratios = []
+        for c in (1.0, 2.0**-1010):
+            path = tmp_path / "scaled.json"
+            path.write_text(json.dumps({**doc, "distance": {**doc["distance"], "points": (c * points).tolist()}}))
+            code, out, _ = run(capsys, "compare", str(path))
+            assert code == 0
+            ratios.append([line for line in out.splitlines() if " / " in line])
+        assert len(ratios[0]) == 4 and "n/a" not in str(ratios[0])
+        assert ratios[0] == ratios[1]
 
     def test_out_file(self, capsys, gap42, tmp_path):
         dest = tmp_path / "table.txt"

@@ -168,6 +168,10 @@ class TestBuildDistance:
         with pytest.raises(InvalidInputError):
             divmax.build_distance([{0}, {1}], "jaccard")
 
+    def test_negative_universe_rejected(self):
+        with pytest.raises(InvalidInputError, match="universe size"):
+            divmax.build_distance([[], []], "jaccard", universe=-5)
+
     def test_universe_membership_enforced(self):
         with pytest.raises(InvalidInputError):
             divmax.build_distance([{0}, {9}], "jaccard", universe=3)
@@ -181,14 +185,18 @@ class TestBuildDistanceAccuracy:
     """The blocked and Gram-identity builders against the difference tensor."""
 
     @staticmethod
-    def _minkowski_reference(pts, kind, p):
-        if kind == "l1":
-            return reference_build_distance(pts, kind, p)
+    def _assert_minkowski(got, pts, kind, p):
+        """got is the reference summed in coordinate order, bit for bit, and
+        within dim * eps relative of the one summed by numpy."""
         # The cloud is scaled by a power of two, exact for the points but
         # not for their powers: lp is the reference's D of the scaled
         # cloud, scaled back.
-        exp = np.frexp(np.abs(pts).max())[1]
-        return np.ldexp(reference_build_distance(np.ldexp(pts, -exp), kind, p), exp)
+        exp = 0 if kind == "l1" else np.frexp(np.abs(pts).max())[1]
+        scaled = np.ldexp(pts, -exp)
+        want = np.ldexp(reference_build_distance(scaled, kind, p, in_order=True), exp)
+        assert np.array_equal(got, want)
+        numpy_sum = np.ldexp(reference_build_distance(scaled, kind, p), exp)
+        assert np.all(np.abs(got - numpy_sum) <= pts.shape[1] * np.finfo(float).eps * numpy_sum)
 
     @pytest.mark.parametrize("kind,p", [("l1", None), ("lp", 1.5)])
     @pytest.mark.parametrize("n,dim", [(9, 3), (300, 16), (700, 1)])
@@ -197,25 +205,25 @@ class TestBuildDistanceAccuracy:
         if n > 9:
             # Several blocks, the last one short: a block is _block_rows(4 * n) rows.
             assert 1 < _block_rows(4 * n) < n and n % _block_rows(4 * n)
-        got = divmax.build_distance(pts, kind, p=p).d
-        assert np.array_equal(got, self._minkowski_reference(pts, kind, p))
+        self._assert_minkowski(divmax.build_distance(pts, kind, p=p).d, pts, kind, p)
 
     @pytest.mark.parametrize("kind,p", [("l1", None), ("lp", 1.5)])
     @pytest.mark.parametrize("dim", [1, 2, 7, 8, 9, 16, 17, 128, 129, 300])
     def test_summation_order_branches(self, monkeypatch, kind, p, dim):
-        # numpy's pairwise order: one lane below 8 terms; 8 lanes from 8 to
-        # 128, with a tail at 9, 17 and 129 terms; halves beyond 128.  Blocks
-        # of 60 rows divide n = 300, blocks of 64 do not.
+        # Coordinate order at the term counts where numpy's own sum changes
+        # its order: below 8, from 8 to 128 with a tail at 9, 17 and 129,
+        # and beyond 128.  Blocks of 60 rows divide n = 300, blocks of 64
+        # do not.
         rng = np.random.default_rng(dim)
         for n in (2, 9, 300):
             pts = rng.standard_normal((n, dim))
-            want = self._minkowski_reference(pts, kind, p)
-            assert np.array_equal(divmax.build_distance(pts, kind, p=p).d, want), n
+            self._assert_minkowski(divmax.build_distance(pts, kind, p=p).d, pts, kind, p)
             for rows in (60, 64):
                 with monkeypatch.context() as m:
                     m.setattr(geometry, "_BLOCK_BYTES", 8 * 4 * n * rows)
                     assert _block_rows(4 * n) == rows
-                    assert np.array_equal(divmax.build_distance(pts, kind, p=p).d, want), (n, rows)
+                    got = divmax.build_distance(pts, kind, p=p).d
+                self._assert_minkowski(got, pts, kind, p)
 
     @pytest.mark.parametrize("kind,p", [("l1", None), ("lp", 1.5)])
     @pytest.mark.parametrize("n,dim", [(1500, 16), (2000, 8)])
@@ -224,8 +232,7 @@ class TestBuildDistanceAccuracy:
         # a short last block at n = 1500 and divides n = 2000.
         assert (n % _block_rows(4 * n) != 0) == (n == 1500)
         pts = np.random.default_rng(n).standard_normal((n, dim))
-        got = divmax.build_distance(pts, kind, p=p).d
-        assert np.array_equal(got, self._minkowski_reference(pts, kind, p))
+        self._assert_minkowski(divmax.build_distance(pts, kind, p=p).d, pts, kind, p)
 
     @staticmethod
     def _l2_cases():
@@ -436,10 +443,12 @@ class TestTransforms:
             with pytest.raises(InvalidInputError):
                 divmax.transform_distance(dm, "power", alpha=alpha)
 
+    @pytest.mark.filterwarnings("error")
     def test_exp_decay_validation(self):
-        dm = random_certified(0, 4)
-        with pytest.raises(InvalidInputError):
-            divmax.transform_distance(dm, "exp_decay", lam=0.0)
+        dm = divmax.build_distance([[0.0], [0.0], [1.0]], "l1")  # with a duplicate pair
+        for lam in (0.0, math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="finite lam > 0"):
+                divmax.transform_distance(dm, "exp_decay", lam=lam)
 
     def test_metric_power_two_level_metric(self):
         # n = 4 with distances in {1, 2}: exponent log2(4/3) maps 2 to 4/3.
