@@ -163,10 +163,8 @@ class UnionInequalityCheck:
 
 
 def _finalize(m: np.ndarray, provenance: str | None) -> DistanceMatrix:
-    # Diagonal and negativity cleanup of float fuzz, in place.  m is exactly
-    # symmetric already, by mirroring (l1, lp, l2) or by forming (i, j) and
-    # (j, i) alike; DistanceMatrix re-checks that.
-    m = np.asarray(m, dtype=float)
+    # Cleans float fuzz in place.  m is exactly symmetric (by _triangle, or as a map
+    # of a D); with the copy DistanceMatrix keeps, it is a build's 2.0 n * n peak.
     np.fill_diagonal(m, 0.0)
     np.clip(m, 0.0, None, out=m)
     dm = DistanceMatrix(m)
@@ -179,34 +177,45 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
 
 
-def _minkowski(pts: np.ndarray, p: float) -> np.ndarray:
-    """(sum_k |a_k - b_k|**p)**(1/p) on the upper triangle of each row block.
+def _triangle(out: np.ndarray, block) -> np.ndarray:
+    """Fill the n x n `out` by row blocks and mirror them, so exactly symmetric.
 
-    The (rows, n - r0) terms, one per coordinate, are added in coordinate
-    order into one accumulator; no difference tensor is formed.  Mirroring
-    is exact: |a - b| == |b - a|.
+    block(r0, r1) gives out[r0:r1, r0:], maybe computed in place in that view.
+    _block_rows(4 * n) rows keep each (rows, n) temporary at _BLOCK_BYTES / 4.
+    """
+    n = out.shape[0]
+    step = _block_rows(4 * n)
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        blk = block(r0, r1)
+        out[r0:r1, r0:] = blk
+        out[r1:, r0:r1] = blk[:, r1 - r0 :].T
+    return out
+
+
+def _minkowski(pts: np.ndarray, p: float) -> np.ndarray:
+    """(sum_k |a_k - b_k|**p)**(1/p), the terms added in coordinate order.
+
+    Each block adds one (rows, n - r0) term per coordinate into an accumulator.
     """
     n, dim = pts.shape
     cols = pts.T.copy()
-    out = np.empty((n, n))
-    step = _block_rows(4 * n)  # (rows, n) arrays of _BLOCK_BYTES / 4 stay in cache
-    for r0 in range(0, n, step):
-        a, b = cols[:, r0 : r0 + step, None], cols[:, r0:]
+
+    def block(r0, r1):
+        a, b = cols[:, r0:r1, None], cols[:, r0:]
 
         def term(k, buf):  # |b_k - a_k|; a row fill and a subtraction beat one broadcast
             buf[...] = b[k]
             np.abs(np.subtract(buf, a[k], out=buf), out=buf)
             return buf if p == 1.0 else np.power(buf, p, out=buf)
 
-        acc, buf = np.empty((2, a.shape[1], n - r0))
+        acc, buf = np.empty((2, r1 - r0, n - r0))
         term(0, acc)
         for k in range(1, dim):
             acc += term(k, buf)
-        if p != 1.0:
-            np.power(acc, 1.0 / p, out=acc)
-        out[r0 : r0 + step, r0:] = acc
-        out[r0 + step :, r0 : r0 + step] = acc[:, step:].T
-    return out
+        return acc if p == 1.0 else np.power(acc, 1.0 / p, out=acc)
+
+    return _triangle(np.empty((n, n)), block)
 
 
 def _euclidean(pts: np.ndarray) -> np.ndarray:
@@ -217,16 +226,16 @@ def _euclidean(pts: np.ndarray) -> np.ndarray:
     cancels, g <= _GRAM_CANCEL * (|a|^2 + |b|^2), |a - b|^2 is summed from
     the differences of the original points instead, which keeps the
     relative error of every entry below about 1e-11.  The diagonal is
-    exactly 0.  Each row block is done on its upper triangle and mirrored.
+    exactly 0.  The Gram matrix is the buffer `_triangle` fills.
     """
-    n, dim = pts.shape
     centered = pts - pts.mean(axis=0)
     sq = np.einsum("ij,ij->i", centered, centered)
+    pairs = _block_rows(pts.shape[1])
     g = centered @ centered.T  # numpy forms x @ x.T symmetrically (syrk)
-    step, pairs = _block_rows(4 * n), _block_rows(dim)  # blocks as in _minkowski
-    for r0 in range(0, n, step):
-        blk = g[r0 : r0 + step, r0:]
-        scale = sq[r0 : r0 + step, None] + sq[None, r0:]
+
+    def block(r0, r1):
+        blk = g[r0:r1, r0:]
+        scale = sq[r0:r1, None] + sq[None, r0:]
         blk *= -2.0
         blk += scale
         i, j = np.nonzero(blk <= _GRAM_CANCEL * scale)
@@ -235,9 +244,9 @@ def _euclidean(pts: np.ndarray) -> np.ndarray:
             diff = pts[r0 + ic] - pts[r0 + jc]
             blk[ic, jc] = (diff * diff).sum(axis=-1)
         np.clip(blk, 0.0, None, out=blk)
-        np.sqrt(blk, out=blk)
-        g[r0 + step :, r0 : r0 + step] = blk[:, step:].T
-    return g
+        return np.sqrt(blk, out=blk)
+
+    return _triangle(g, block)
 
 
 def _points_array(data) -> np.ndarray:
@@ -251,6 +260,13 @@ def _points_array(data) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise InvalidInputError("points must be finite")
     return np.ascontiguousarray(pts)
+
+
+def lp_exponent(p) -> float:
+    """The exponent p of kind "lp" as a float, checked: 1 <= p <= 2."""
+    if p is None or not 1.0 <= float(p) <= 2.0:
+        raise InvalidInputError(f"kind 'lp' requires an exponent 1 <= p <= 2, got {p}")
+    return float(p)
 
 
 def _incidence(data, universe) -> np.ndarray:
@@ -287,27 +303,24 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
                              is of negative type, and so is its square root
       "lp"                -- Minkowski with exponent `p`, 1 <= p <= 2; lp
                              embeds isometrically in L1 for these p
-      "cosine"            -- angle arccos(<u,v>/|u||v|) in [0, pi]; rejects
-                             zero vectors.  The angle is pi times the
-                             chance that a random hyperplane cuts u from v,
-                             a mixture of cut metrics, so an L1 metric
-      "jaccard"           -- 1 - |A&B|/|A|B|; d(empty, empty) = 0.  The
-                             chance that a random min-hash tells A from B
-                             (the empty set hashing to a symbol of its
-                             own), so an L1 metric
-      "dice"              -- |A^B| / (|A| + |B|); 0 when both sets empty.
-                             1 - d is 2 <1_A, 1_B> / (|A| + |B|), a Schur
-                             product of positive semidefinite kernels
-                             (Gower-Legendre 1986), and 0 between an empty
-                             and a nonempty set, so it stays positive
-                             semidefinite, and d = 1 - (1 - d) is of
+      "cosine"            -- angle arccos(<u,v>/|u||v|) in [0, pi]; rejects zero
+                             vectors.  The angle is pi times the chance that a
+                             random hyperplane cuts u from v, a mixture of cut
+                             metrics, so an L1 metric
+      "jaccard"           -- 1 - |A&B|/|A|B|; d(empty, empty) = 0.  The chance
+                             that a random min-hash tells A from B (the empty set
+                             hashing to a symbol of its own), so an L1 metric
+      "dice"              -- |A^B| / (|A| + |B|); 0 when both sets empty.  1 - d
+                             is 2 <1_A, 1_B> / (|A| + |B|), a Schur product of
+                             positive semidefinite kernels (Gower-Legendre 1986),
+                             and 0 between an empty and a nonempty set, so it stays
+                             positive semidefinite, and d = 1 - (1 - d) is of
                              negative type
       "simple_matching"   -- |A^B| / |U|, a Hamming distance, so an L1 metric
-      "russell_rao"       -- 1 - |A&B|/|U| off-diagonal; the diagonal is
-                             forced to zero.  J - B B^T / |U|, with B the
-                             incidence rows, is of negative type, and
-                             zeroing its nonnegative diagonal keeps it so
-                             (Gower-Legendre 1986)
+      "russell_rao"       -- 1 - |A&B|/|U| off-diagonal; the diagonal is forced
+                             to zero.  J - B B^T / |U|, with B the incidence rows,
+                             is of negative type, and zeroing its nonnegative
+                             diagonal keeps it so (Gower-Legendre 1986)
       "explicit"          -- `data` is the matrix itself; no theorem applies
 
     Each catalogue kind is recorded as the matrix's `provenance`, the
@@ -322,39 +335,28 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
     moves by ulps in its powers), and points near the ends of the double
     range neither vanish in a power nor overflow.
 
-    Memory: the peak counts the n x n result and the read-only copy that
-    DistanceMatrix keeps.  Traced with tracemalloc at n = 1000 (8-dim
-    points, a 60-item universe), in n * n floats: l1, lp and l2 2.0, cosine
-    3.0, simple_matching and russell_rao 5.1, dice 5.2, jaccard 6.2.  l1,
-    lp and l2 fill the upper triangle of a block of rows and mirror it, with
-    no (rows, n, dim) difference tensor and temporaries near _BLOCK_BYTES
-    (1 MiB): l1 and lp add a (rows, n) term per coordinate, in coordinate
-    order, and l2 forms the Gram matrix in the result buffer and recomputes
-    cancelling pairs in batches.  Cosine and the set kinds hold several
-    n x n temporaries.
+    Memory: every kind is filled by row blocks (`_triangle`), so the traced peak
+    is the n x n result and the copy DistanceMatrix keeps: 2.0 n * n floats.
     """
     if kind == "explicit":
         return DistanceMatrix(np.asarray(data, dtype=float))
 
     if kind in NORM_KINDS:
         pts = _points_array(data)
-        if kind == "cosine":
+        if kind == "cosine":  # each point scaled by its own power of two
             pts = np.ldexp(pts, -np.frexp(np.abs(pts).max(axis=1))[1][:, None])
             norms = np.linalg.norm(pts, axis=1)
             if (norms <= 0).any():
                 raise InvalidInputError("cosine distance is undefined for zero vectors")
-            cos = (pts @ pts.T) / np.outer(norms, norms)
-            return _finalize(np.arccos(np.clip(cos, -1.0, 1.0)), kind)
-        if kind == "l1":
-            p = 1.0
-        elif kind == "l2":
-            p = 2.0
-        else:
-            if p is None:
-                raise InvalidInputError("kind 'lp' requires the exponent p")
-            p = float(p)
-            if not 1.0 <= p <= 2.0:
-                raise InvalidInputError(f"lp exponent must satisfy 1 <= p <= 2, got {p}")
+            g = pts @ pts.T  # syrk, as in _euclidean
+
+            def angles(r0, r1):
+                blk = g[r0:r1, r0:]
+                blk /= np.outer(norms[r0:r1], norms[r0:])
+                return np.arccos(np.clip(blk, -1.0, 1.0, out=blk), out=blk)
+
+            return _finalize(_triangle(g, angles), kind)
+        p = 1.0 if kind == "l1" else 2.0 if kind == "l2" else lp_exponent(p)
         exp = np.frexp(np.abs(pts).max())[1]
         pts = np.ldexp(pts, -exp)
         g = _euclidean(pts) if p == 2.0 else _minkowski(pts, p)
@@ -363,26 +365,24 @@ def build_distance(data, kind: str, *, p: float | None = None, universe=None) ->
 
     if kind in SET_KINDS:
         b = _incidence(data, universe)
-        u_size = b.shape[1]
-        inter = b @ b.T
-        sizes = b.sum(axis=1)
-        total = sizes[:, None] + sizes[None, :]
-        symdiff = total - 2.0 * inter
-        if kind == "jaccard":
-            union = total - inter
-            with np.errstate(invalid="ignore", divide="ignore"):
-                m = np.where(union > 0, 1.0 - inter / np.where(union > 0, union, 1.0), 0.0)
-        elif kind == "dice":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                m = np.where(total > 0, symdiff / np.where(total > 0, total, 1.0), 0.0)
-        else:
-            if u_size < 1:
-                raise InvalidInputError(f"kind '{kind}' requires a nonempty universe")
+        u_size, sizes = b.shape[1], b.sum(axis=1)
+        if kind in ("simple_matching", "russell_rao") and u_size < 1:
+            raise InvalidInputError(f"kind '{kind}' requires a nonempty universe")
+
+        def ratios(r0, r1):
+            inter = b[r0:r1] @ b[r0:].T  # 0/1 products: exact in any order
+            total = sizes[r0:r1, None] + sizes[None, r0:]
+            if kind == "jaccard":  # 1 - 1 for two empty sets
+                ones = np.ones_like(inter)
+                return 1.0 - np.divide(inter, total - inter, out=ones, where=total > inter)
+            if kind == "russell_rao":
+                return 1.0 - inter / u_size
+            symdiff = total - 2.0 * inter
             if kind == "simple_matching":
-                m = symdiff / u_size
-            else:  # russell_rao
-                m = 1.0 - inter / u_size
-        return _finalize(m, kind)
+                return symdiff / u_size
+            return np.divide(symdiff, total, out=np.zeros_like(total), where=total > 0)  # dice
+
+        return _finalize(_triangle(np.empty((len(b), len(b))), ratios), kind)
 
     raise InvalidInputError(f"unknown distance kind {kind!r}")
 

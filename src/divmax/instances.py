@@ -10,8 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import NORM_KINDS, SET_KINDS
+from .geometry import NORM_KINDS, SET_KINDS, lp_exponent
 from .io import InstanceDoc
+from .matroids import UniformMatroid
+
+
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _matroid_spec(rng: np.random.Generator, n: int, matroid, k) -> dict:
@@ -19,6 +26,7 @@ def _matroid_spec(rng: np.random.Generator, n: int, matroid, k) -> dict:
         return matroid
     if matroid == "uniform":
         kk = int(k) if k is not None else max(1, n // 3)
+        UniformMatroid(n, kk)  # the checks a solve of the document makes
         return {"kind": "uniform", "k": kk}
     if matroid == "partition":
         num_blocks = int(k) if k is not None else min(3, n)
@@ -60,7 +68,9 @@ def gen_random_points(
         raise InvalidInputError("need n >= 2")
     if dim < 1:
         raise InvalidInputError("need dim >= 1")
-    rng = np.random.default_rng(rng_seed)
+    if set_size is not None and set_size < 0:
+        raise InvalidInputError(f"need set_size >= 0, got {set_size}")
+    rng = _rng(rng_seed)
     if kind in NORM_KINDS:
         if point_dist == "gaussian":
             pts = rng.standard_normal((n, dim))
@@ -77,7 +87,7 @@ def gen_random_points(
                 norms = np.linalg.norm(pts, axis=1)
         distance = {"kind": kind, "points": [[float(v) for v in row] for row in pts]}
         if kind == "lp":
-            distance["p"] = float(p if p is not None else 1.5)
+            distance["p"] = lp_exponent(1.5 if p is None else p)
     elif kind in SET_KINDS:
         sets = []
         for _ in range(n):
@@ -165,7 +175,7 @@ def gen_random_graph(num_vertices: int, edge_prob: float, rng_seed: int) -> list
     """Erdos-Renyi edge list (0-based vertex pairs), deterministic per seed."""
     if not 0.0 <= edge_prob <= 1.0:
         raise InvalidInputError("edge probability must be in [0, 1]")
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     edges = []
     for u in range(num_vertices):
         for v in range(u + 1, num_vertices):

@@ -76,8 +76,8 @@ class ChainState:
         for a, b in zip(sets, sets[1:]):
             if not (a < b):
                 raise InvalidInputError("chain sets must strictly increase")
-        if not sets:
-            raise InvalidInputError("chain needs at least the support set")
+        if not sets or not sets[0]:
+            raise InvalidInputError("chain needs at least one set, and S_1 must be nonempty")
         self.sets = sets
 
     @property

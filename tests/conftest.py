@@ -114,6 +114,52 @@ def reference_euclidean(pts: np.ndarray) -> np.ndarray:
     return g
 
 
+def _cleaned(m: np.ndarray) -> np.ndarray:
+    np.fill_diagonal(m, 0.0)
+    return np.clip(m, 0.0, None, out=m)
+
+
+def reference_cosine(points) -> np.ndarray:
+    """The cosine builder of `divmax.build_distance` before it worked in row blocks.
+
+    Verbatim: each point scaled by its own power of two, then the whole
+    n x n quotient, clip and arccos; returns the cleaned matrix.
+    """
+    pts = np.ascontiguousarray(points, dtype=float)
+    pts = np.ldexp(pts, -np.frexp(np.abs(pts).max(axis=1))[1][:, None])
+    norms = np.linalg.norm(pts, axis=1)
+    cos = (pts @ pts.T) / np.outer(norms, norms)
+    return _cleaned(np.arccos(np.clip(cos, -1.0, 1.0)))
+
+
+def reference_set_distance(sets, kind: str, universe: int) -> np.ndarray:
+    """The set kinds of `divmax.build_distance` before they worked in row blocks.
+
+    The n x n formulas verbatim, on incidence rows over range(universe);
+    returns the cleaned matrix.
+    """
+    b = np.zeros((len(sets), universe))
+    for i, s in enumerate(sets):
+        b[i, sorted(s)] = 1.0
+    u_size = b.shape[1]
+    inter = b @ b.T
+    sizes = b.sum(axis=1)
+    total = sizes[:, None] + sizes[None, :]
+    symdiff = total - 2.0 * inter
+    if kind == "jaccard":
+        union = total - inter
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m = np.where(union > 0, 1.0 - inter / np.where(union > 0, union, 1.0), 0.0)
+    elif kind == "dice":
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m = np.where(total > 0, symdiff / np.where(total > 0, total, 1.0), 0.0)
+    elif kind == "simple_matching":
+        m = symdiff / u_size
+    else:  # russell_rao
+        m = 1.0 - inter / u_size
+    return _cleaned(m)
+
+
 def reference_is_metric(d: np.ndarray, tol: float) -> bool:
     """Triangle-inequality check through the full n x n x n sum tensor."""
     through = np.min(d[:, None, :] + d[None, :, :], axis=2)

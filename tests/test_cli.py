@@ -696,6 +696,38 @@ class TestGen:
         assert run(capsys, "gen", "dks", "--n", "4", "--k", "2", "--edges", "1:2")[0] == 2
         assert run(capsys, "gen", "dks", "--n", "4", "--k", "2", "--edges", "1-9")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["random-points", "--n", "6", "--seed", "-1"],
+            ["dks", "--n", "6", "--k", "2", "--seed", "-1"],
+            ["random-points", "--n", "6", "--kind", "jaccard", "--set-size", "-2"],
+        ],
+    )
+    def test_negative_seed_or_set_size_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "gen", *argv)
+        assert (code, out) == (2, "")
+        assert "-1" in err or "-2" in err
+
+    @pytest.mark.parametrize(
+        "bad,good,patch",
+        [
+            (["--kind", "lp", "--p", "3"], ["--kind", "lp"], ("distance", "p", 3.0)),
+            (["--k", "20"], ["--k", "2"], ("matroid", "k", 20)),
+        ],
+    )
+    def test_document_solve_refuses_is_not_written(self, capsys, tmp_path, bad, good, patch):
+        # solve refuses the good document patched to the bad value; gen
+        # refuses to write it, with the same message.
+        doc = json.loads(run(capsys, "gen", "random-points", "--n", "10", *good)[1])
+        field, key, value = patch
+        doc[field][key] = value
+        path = tmp_path / "patched.json"
+        path.write_text(json.dumps(doc))
+        code, _, solve_err = run(capsys, "solve", str(path))
+        assert code == 2
+        assert run(capsys, "gen", "random-points", "--n", "10", *bad) == (2, "", solve_err)
+
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "inst.json"
         code, out, _ = run(capsys, "gen", "integrality-gap", "--n", "5", "--k", "2", "--out", str(dest))

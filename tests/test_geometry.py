@@ -15,6 +15,7 @@ from divmax.geometry import (
     _SYM_TILE,
     METRIC_TOL,
     PSD_TOL_SCALE,
+    SET_KINDS,
     _block_rows,
 )
 
@@ -22,8 +23,10 @@ from conftest import (
     assert_matches_eigh_reference,
     random_certified,
     reference_build_distance,
+    reference_cosine,
     reference_euclidean,
     reference_is_metric,
+    reference_set_distance,
 )
 
 
@@ -285,6 +288,38 @@ class TestBuildDistanceAccuracy:
         assert np.array_equal(got == 0, ref == 0)
         assert (got == 0).sum() > pts.shape[0]
 
+    @pytest.mark.parametrize("n", [2, 9, 300, 1025, 2000])
+    def test_cosine_bit_identical_to_full_matrix_builder(self, n):
+        # n <= 9 is one block, n = 300 and 1025 end in a short block and
+        # 2000 does not.  Duplicate and parallel points meet the clip at
+        # cos = 1.
+        step = _block_rows(4 * n)
+        assert n < step or (n % step != 0) == (n in (300, 1025))
+        pts = np.random.default_rng(n).standard_normal((n, 8))
+        pts[n // 2] = pts[0]
+        pts[-1] = 3.0 * pts[min(1, n - 2)]
+        assert np.array_equal(divmax.build_distance(pts, "cosine").d, reference_cosine(pts))
+
+    @pytest.mark.parametrize("kind", SET_KINDS)
+    @pytest.mark.parametrize("n", [2, 9, 300, 1025, 2000])
+    def test_set_kinds_bit_identical_to_full_matrix_builder(self, kind, n):
+        rng = np.random.default_rng(n)
+        sets = [set(np.nonzero(rng.random(60) < rng.random())[0].tolist()) for _ in range(n)]
+        sets[0] = set()
+        sets[-1] = set(sets[n // 2])
+        if n > 2:
+            sets[1] = set()
+        got = divmax.build_distance(sets, kind, universe=60).d
+        assert np.array_equal(got, reference_set_distance(sets, kind, 60))
+
+    @pytest.mark.parametrize("kind", ["jaccard", "dice"])
+    @pytest.mark.parametrize("n", [2, 300])
+    def test_empty_universe_bit_identical_to_full_matrix_builder(self, kind, n):
+        sets = [set()] * n
+        got = divmax.build_distance(sets, kind, universe=0).d
+        assert np.array_equal(got, reference_set_distance(sets, kind, 0))
+        assert not got.any()
+
     @staticmethod
     def _unscaled(pts, kind):
         """The l2 and cosine formulas applied to the points as given."""
@@ -371,6 +406,18 @@ class TestMemoryBound:
         pts = np.random.default_rng(dim).standard_normal((n, dim))
         p = 1.5 if kind == "lp" else None
         assert _traced_peak_units(lambda: divmax.build_distance(pts, kind, p=p), n) < 2.2
+
+    @pytest.mark.parametrize("kind", ["cosine", *SET_KINDS])
+    def test_cosine_and_set_kinds_peak(self, kind):
+        # The result and the copy DistanceMatrix keeps; the Gram matrix of
+        # cosine is its result buffer.
+        n = 1500
+        rng = np.random.default_rng(1)
+        if kind == "cosine":
+            data, universe = rng.standard_normal((n, 16)), None
+        else:
+            data, universe = [set(np.nonzero(rng.random(60) < 0.3)[0].tolist()) for _ in range(n)], 60
+        assert _traced_peak_units(lambda: divmax.build_distance(data, kind, universe=universe), n) < 2.2
 
     def test_identical_points_at_dim_300_peak(self):
         # Every pair cancels, and the fix-up batches its (pairs, dim) differences.

@@ -35,6 +35,8 @@ class TestChainState:
             ChainState([{0, 1}, {0, 1}])
         with pytest.raises(InvalidInputError):
             ChainState([{0, 1}, {2}])
+        with pytest.raises(InvalidInputError):
+            ChainState([set()])
 
     def test_insert_positions_and_nesting(self):
         chain = ChainState([{0, 1, 2, 3}])
